@@ -5,7 +5,9 @@ package analysis
 // from* the simulation and export entry points, not just lexically inside
 // internal/ files. Roots are
 //
-//   - system.Run / system.RunE (one simulated cell, end to end);
+//   - system.Run / system.RunE (one simulated cell, end to end), plus the
+//     shared-warmup phases Machine.WarmupRecorded and Machine.Restore, which
+//     the harness sequences in place of RunE's live warmup;
 //   - the Export* surface of internal/harness (byte-identical artifacts
 //     are the repo's determinism oracle).
 //
@@ -118,8 +120,8 @@ func telemetryIsolation(g *CallGraph, prog *Program) []Diagnostic {
 	return diags
 }
 
-// detRoots collects the deterministic-zone entry points: system.Run/RunE
-// and the harness Export* surface.
+// detRoots collects the deterministic-zone entry points: system.Run/RunE,
+// the shared-warmup phases, and the harness Export* surface.
 func detRoots(g *CallGraph) []*Node {
 	var roots []*Node
 	for _, n := range g.Nodes {
@@ -128,7 +130,8 @@ func detRoots(g *CallGraph) []*Node {
 		}
 		name := n.Obj.Name()
 		switch {
-		case (name == "Run" || name == "RunE") && fromPkg(n.Obj, "internal/system"):
+		case (name == "Run" || name == "RunE" || name == "WarmupRecorded" || name == "Restore") &&
+			fromPkg(n.Obj, "internal/system"):
 			roots = append(roots, n)
 		case strings.HasPrefix(name, "Export") && fromPkg(n.Obj, "internal/harness"):
 			roots = append(roots, n)

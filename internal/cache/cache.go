@@ -7,7 +7,9 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dylect/internal/stats"
 )
@@ -211,6 +213,96 @@ func (c *Cache) HitRate() float64 {
 func (c *Cache) ResetStats() {
 	c.Hits.Reset()
 	c.Misses.Reset()
+}
+
+// Snapshot is an immutable, compact copy of a cache's contents. Each set's
+// valid lines are listed from least to most recently used, so a line's
+// position is its LRU rank and no stamp is stored, followed by the set's
+// empty ways. A line is stored as its tag within the set (line / sets) plus
+// one, 0 marking an empty way: 16 bits when every tag fits, as the L3's do at
+// every simulated footprint, else 32. Dirty bits are a bitset. Statistics
+// are not captured.
+type Snapshot struct {
+	cfg    Config
+	narrow []uint16 // set when every stored tag fits 16 bits
+	wide   []uint32 // set otherwise
+	dirty  []uint64 // one bit per way, in snapshot order
+}
+
+// Bytes returns the snapshot's approximate heap footprint.
+func (s *Snapshot) Bytes() int { return 2*len(s.narrow) + 4*len(s.wide) + 8*len(s.dirty) }
+
+// Snapshot captures the cache's contents. It panics on a tag wider than 32
+// bits, which takes terabytes of simulated footprint.
+func (c *Cache) Snapshot() *Snapshot {
+	nsets := c.nsets
+	var maxTag uint64
+	for _, t := range c.tags {
+		if t != invalidTag && t/nsets+1 > maxTag {
+			maxTag = t/nsets + 1
+		}
+	}
+	s := &Snapshot{cfg: c.cfg, dirty: make([]uint64, (len(c.tags)+63)/64)}
+	switch {
+	case maxTag < 1<<16:
+		s.narrow = make([]uint16, len(c.tags))
+	case maxTag < 1<<32:
+		s.wide = make([]uint32, len(c.tags))
+	default:
+		panic(fmt.Sprintf("cache: tag %#x does not fit a snapshot", maxTag-1))
+	}
+	order := make([]int, 0, c.assoc)
+	for base := 0; base < len(c.tags); base += c.assoc {
+		order = order[:0]
+		for i := base; i < base+c.assoc; i++ {
+			if c.tags[i] != invalidTag {
+				order = append(order, i)
+			}
+		}
+		// Valid ways of a set carry distinct stamps, so this order is total.
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(c.used[a], c.used[b]) })
+		for j, i := range order {
+			tag := c.tags[i]/nsets + 1
+			if s.narrow != nil {
+				s.narrow[base+j] = uint16(tag)
+			} else {
+				s.wide[base+j] = uint32(tag)
+			}
+			if c.dirty[i] {
+				s.dirty[(base+j)/64] |= 1 << ((base + j) % 64)
+			}
+		}
+	}
+	return s
+}
+
+// Restore loads a snapshot into the cache, which must have the snapshot's
+// geometry. Replacement decisions afterwards are exactly those of the
+// snapshotted cache: lookups match by tag and victims are chosen by stamp
+// order or among interchangeable empty ways, never by way position; within
+// each set the restored stamps keep their order, and every later stamp
+// exceeds them all. Statistics are left untouched.
+func (c *Cache) Restore(s *Snapshot) {
+	if s.cfg != c.cfg {
+		panic(fmt.Sprintf("cache: restoring a %+v snapshot into a %+v cache", s.cfg, c.cfg))
+	}
+	for i := range c.tags {
+		var tag uint64
+		if s.narrow != nil {
+			tag = uint64(s.narrow[i])
+		} else {
+			tag = uint64(s.wide[i])
+		}
+		if tag == 0 {
+			c.tags[i], c.used[i], c.dirty[i] = invalidTag, 0, false
+			continue
+		}
+		set := uint64(i / c.assoc)
+		c.tags[i] = (tag-1)*c.nsets + set
+		c.used[i] = uint64(i%c.assoc) + 1
+		c.dirty[i] = s.dirty[i/64]&(1<<(i%64)) != 0
+	}
+	c.tick = uint64(c.assoc)
 }
 
 // Occupancy returns the fraction of ways currently valid.

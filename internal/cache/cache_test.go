@@ -322,3 +322,34 @@ func BenchmarkCacheAccess(b *testing.B) {
 		}
 	}
 }
+
+// TestSnapshotRestoreIsExact: a cache restored from a snapshot behaves
+// exactly like the snapshotted cache from then on — same hits, same
+// victims, same dirty bits — under a random mix of accesses and fills that
+// keeps sets full, so LRU order decides every eviction.
+func TestSnapshotRestoreIsExact(t *testing.T) {
+	cfg := Config{SizeBytes: 8 << 10, LineBytes: 64, Assoc: 8}
+	rng := rand.New(rand.NewSource(5))
+	addr := func() uint64 { return uint64(rng.Intn(1024)) * 64 }
+	orig := New(cfg)
+	for i := 0; i < 5000; i++ {
+		if a := addr(); !orig.Access(a, rng.Intn(4) == 0) {
+			orig.Fill(a, rng.Intn(3) == 0)
+		}
+	}
+	snap := orig.Snapshot()
+	restored := New(cfg)
+	restored.Restore(snap)
+	for i := 0; i < 20000; i++ {
+		a, w := addr(), rng.Intn(4) == 0
+		if h1, h2 := orig.Access(a, w), restored.Access(a, w); h1 != h2 {
+			t.Fatalf("step %d: hit %v vs restored %v", i, h1, h2)
+		} else if !h1 {
+			v1, d1, e1 := orig.Fill(a, w)
+			v2, d2, e2 := restored.Fill(a, w)
+			if v1 != v2 || d1 != d2 || e1 != e2 {
+				t.Fatalf("step %d: victim (%#x,%v,%v) vs restored (%#x,%v,%v)", i, v1, d1, e1, v2, d2, e2)
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package cache
 
+import "maps"
+
 // Prefetchers from Table 3: next-line with automatic enable/disable at L1/L2
 // and stride prefetchers (degree 2 at L1, degree 4 at L2). They observe the
 // demand access stream at a cache level and emit line addresses to fetch.
@@ -24,6 +26,12 @@ type NextLine struct {
 
 // NewNextLine returns an enabled next-line prefetcher.
 func NewNextLine() *NextLine { return &NextLine{enabled: true} }
+
+// Clone returns an independent copy in the same state.
+func (p *NextLine) Clone() *NextLine {
+	c := *p
+	return &c
+}
 
 // Enabled reports whether the prefetcher is currently active.
 func (p *NextLine) Enabled() bool { return p.enabled }
@@ -100,6 +108,14 @@ type strideEntry struct {
 // NewStride builds a stride prefetcher with the given degree.
 func NewStride(degree int) *Stride {
 	return &Stride{degree: degree, entries: make(map[uint64]strideEntry), limit: 256}
+}
+
+// Clone returns an independent copy in the same state. The detector table
+// is only ever looked up by stream, so the copy's map layout is irrelevant.
+func (p *Stride) Clone() *Stride {
+	c := *p
+	c.entries = maps.Clone(p.entries)
+	return &c
 }
 
 // Observe is called with each demand access (stream ID and line address); it

@@ -17,6 +17,7 @@ import (
 
 	"dylect/internal/cellstore"
 	"dylect/internal/harness"
+	"dylect/internal/retry"
 	"dylect/internal/serve"
 )
 
@@ -414,17 +415,24 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 	return nil, fmt.Errorf("fabric: cell %s: %d dispatch attempts failed: %w", cellKey, c.cfg.Attempts, last)
 }
 
-// backoff sleeps the jittered exponential delay before a retry, raised to a
-// worker's Retry-After advice when that is longer, and never past ctx.
-func (c *Coordinator) backoff(ctx context.Context, attempt int, last error) error {
-	max := c.cfg.RetryBackoff << (attempt - 1)
+// delay draws the jittered exponential delay before a retry, uniform in
+// [0, ceiling] under the shared retry.Ceiling schedule, raised to a worker's
+// Retry-After advice when that is longer.
+func (c *Coordinator) delay(attempt int, last error) time.Duration {
+	ceil := retry.Ceiling(c.cfg.RetryBackoff, retry.DefaultCap, attempt)
 	c.mu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(max) + 1))
+	d := time.Duration(c.rng.Int63n(int64(ceil) + 1))
 	c.mu.Unlock()
 	var de *DispatchError
 	if errors.As(last, &de) && de.RetryAfter > d {
 		d = de.RetryAfter
 	}
+	return d
+}
+
+// backoff sleeps the retry delay, never past ctx.
+func (c *Coordinator) backoff(ctx context.Context, attempt int, last error) error {
+	d := c.delay(attempt, last)
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
 		return fmt.Errorf("fabric: retry backoff %v would outlive the deadline: %w", d, context.DeadlineExceeded)
 	}

@@ -146,6 +146,8 @@ func (k runKey) String() string {
 // when metrics are off); prof its wall-clock profile.
 type flight struct {
 	done chan struct{}
+	// ctx is the starter's context, the one that gates the flight's start.
+	ctx  context.Context
 	res  *system.Result
 	obs  *metrics.Data
 	prof cellProfile
@@ -233,6 +235,10 @@ type runnerState struct {
 	// (SetRemoteExecutor); the coordinator side of internal/fabric installs
 	// it. Local simulation never runs while it is set.
 	remote RemoteExecutor
+
+	// warm shares each planned warm key's functional warmup across its
+	// cells (warmshare.go).
+	warm warmShare
 }
 
 // NewRunner builds a Runner over a configuration. The worker pool defaults
@@ -250,7 +256,10 @@ func NewRunner(cfg Config) *Runner {
 	if cfg.Window == 0 {
 		cfg.Window = 150 * engine.Microsecond
 	}
-	r := &Runner{Cfg: cfg, runnerState: &runnerState{cache: make(map[runKey]*flight)}}
+	r := &Runner{Cfg: cfg, runnerState: &runnerState{
+		cache: make(map[runKey]*flight),
+		warm:  warmShare{leases: make(map[runKey]*warmLease)},
+	}}
 	r.SetJobs(1)
 	return r
 }
@@ -488,18 +497,25 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 		}
 		if f, ok := r.cache[key]; ok {
 			r.mu.Unlock()
-			select {
-			case <-f.done:
-			case <-ctx.Done():
+			// A flight reports its own outcome whenever that is decided: when
+			// it has settled, even if ctx is done too, and always when it runs
+			// under this same ctx, whose cancellation its starter observes at
+			// its next gate. So a canceled run's report does not depend on
+			// which goroutine saw the cancellation first.
+			waitCtx := ctx
+			if f.ctx == ctx {
+				waitCtx = context.Background()
+			}
+			if err := waitSettled(waitCtx, f.done); err != nil {
 				return nil, nil, withCode(ErrCanceled,
-					fmt.Errorf("harness: cell %s: abandoned wait: %w", key, ctx.Err()))
+					fmt.Errorf("harness: cell %s: abandoned wait: %w", key, err))
 			}
 			if errors.Is(f.err, ErrCanceled) && ctx.Err() == nil {
 				continue // the starter gave up, we have not: retry fresh
 			}
 			return f.res, f.obs, f.err
 		}
-		f := &flight{done: make(chan struct{})}
+		f := &flight{done: make(chan struct{}), ctx: ctx}
 		r.cache[key] = f
 		r.mu.Unlock()
 		r.runCell(ctx, key, f)
@@ -521,18 +537,20 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	start := time.Now()
 	fromStore := false
 	viaRemote := false
-	// Settlement bookkeeping: record the profiling row, evict canceled (and,
-	// in service mode, failed) cells so a later request re-attempts them, and
-	// notify the observers. One defer, not several: the profile must be
-	// finalized before the observers run, and stacked defers would execute
-	// in the wrong (LIFO) order. Runs after the recover below finalizes
-	// f.err, before waiters wake.
+	// Settlement bookkeeping: record the profiling row, drop the cell's warm
+	// lease, evict canceled (and, in service mode, failed) cells so a later
+	// request re-attempts them, and notify the observers. One defer, not
+	// several: the profile must be finalized before the observers run, the
+	// lease must go before the eviction lets a new flight of the key start,
+	// and stacked defers would execute in the wrong (LIFO) order. Runs after
+	// the recover below finalizes f.err, before waiters wake.
 	defer func() {
 		f.prof = cellProfile{
 			WallNS:    time.Since(start).Nanoseconds(),
 			PeakRSSKB: peakRSSKB(),
 		}
 		r.mu.Lock()
+		r.warmSettle(key)
 		evict := f.err != nil && (r.evictFailed || errors.Is(f.err, ErrCanceled))
 		if evict && r.cache[key] == f {
 			delete(r.cache, key)
@@ -580,13 +598,29 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 
 	// Graceful drain: once the context is canceled no new cell starts —
 	// not even one already queued on the semaphore — but cells that made it
-	// into a worker slot run to completion and checkpoint.
-	select {
-	case <-ctx.Done():
-		f.err = withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: not started: %w", key, ctx.Err()))
+	// into a worker slot run to completion and checkpoint. The gate is
+	// checked before and after the wait for a shared warmup image, which
+	// holds no worker slot.
+	drained := func() bool {
+		select {
+		case <-ctx.Done():
+			f.err = withCode(ErrCanceled,
+				fmt.Errorf("harness: cell %s: not started: %w", key, ctx.Err()))
+			return true
+		default:
+			return false
+		}
+	}
+	if drained() {
 		return
-	default:
+	}
+	lease, err := r.warmAcquire(ctx, key)
+	if err != nil {
+		f.err = err
+		return
+	}
+	if drained() {
+		return
 	}
 	select {
 	case sem <- struct{}{}:
@@ -627,7 +661,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	var obs *metrics.Data
 	for attempt := 1; ; attempt++ {
 		var err error
-		res, obs, err = r.attemptCell(attemptCtx, key, timeout)
+		res, obs, err = r.attemptCell(attemptCtx, key, timeout, lease)
 		if err == nil {
 			break
 		}
@@ -666,7 +700,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 // buffered channel and is discarded. The starter's context composes with
 // the watchdog: whichever fires first abandons the attempt, so a request
 // deadline bounds cell execution even without -cell-timeout.
-func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration) (*system.Result, *metrics.Data, error) {
+func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration, lease *warmLease) (*system.Result, *metrics.Data, error) {
 	r.mu.Lock()
 	hook := r.cellHook
 	r.mu.Unlock()
@@ -690,7 +724,7 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 				return
 			}
 		}
-		res, obs, err := r.simulate(key)
+		res, obs, err := r.simulate(key, lease)
 		if err != nil {
 			ch <- outcome{err: fmt.Errorf("harness: cell %s: %w", key, err)}
 			return
@@ -716,12 +750,11 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 	}
 }
 
-// simulate performs the actual system run for a cell, returning the
-// recorded observability data when the config enables metrics.
-func (r *Runner) simulate(key runKey) (*system.Result, *metrics.Data, error) {
+// options builds the system.Options a cell simulates.
+func (r *Runner) options(key runKey) (system.Options, error) {
 	w, ok := trace.ByName(key.workload)
 	if !ok {
-		return nil, nil, fmt.Errorf("unknown workload %q", key.workload)
+		return system.Options{}, fmt.Errorf("unknown workload %q", key.workload)
 	}
 	var dcfg *core.Config
 	if key.design == system.DesignDyLeCT {
@@ -730,15 +763,7 @@ func (r *Runner) simulate(key runKey) (*system.Result, *metrics.Data, error) {
 		c.DirectToML0 = key.directToML0
 		dcfg = &c
 	}
-	var rec *metrics.Recorder
-	if r.Cfg.MetricsSamples > 0 || r.Cfg.Trace {
-		rec = metrics.New(metrics.Config{
-			Samples:  r.Cfg.MetricsSamples,
-			Trace:    r.Cfg.Trace,
-			TraceCap: r.Cfg.TraceCap,
-		})
-	}
-	res, err := system.RunE(system.Options{
+	return system.Options{
 		Workload:       w,
 		Design:         key.design,
 		Setting:        key.setting,
@@ -756,8 +781,43 @@ func (r *Runner) simulate(key runKey) (*system.Result, *metrics.Data, error) {
 		Seed:           r.Cfg.Seed,
 		DyLeCT:         dcfg,
 		Audit:          r.Cfg.Audit,
-		Obs:            rec,
-	})
+	}, nil
+}
+
+// simulate performs the actual system run for a cell, returning the
+// recorded observability data when the config enables metrics. The cell's
+// warm lease (nil for none) selects how it warms up: restoring its group's
+// image, recording the image for the group, or live.
+func (r *Runner) simulate(key runKey, lease *warmLease) (*system.Result, *metrics.Data, error) {
+	opts, err := r.options(key)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rec *metrics.Recorder
+	if r.Cfg.MetricsSamples > 0 || r.Cfg.Trace {
+		rec = metrics.New(metrics.Config{
+			Samples:  r.Cfg.MetricsSamples,
+			Trace:    r.Cfg.Trace,
+			TraceCap: r.Cfg.TraceCap,
+		})
+	}
+	opts.Obs = rec
+	m, err := system.Build(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch img, record := r.warmTake(lease); {
+	case img != nil:
+		if err := m.Restore(img); err != nil {
+			return nil, nil, err
+		}
+		r.warmRestored(lease)
+	case record:
+		r.warmPublish(lease, m.WarmupRecorded())
+	default:
+		m.Warmup()
+	}
+	res, err := m.Finish()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -16,9 +16,11 @@ import (
 //     exact cell set the real run will need, in first-request order.
 //     Planning is cheap (no simulation) and sound because experiments
 //     enumerate their cells from static loops, never from prior results.
-//  2. Warm: each planned cell is handed to a goroutine; the single-flight
-//     cache ensures exactly one simulation per unique key and the jobs
-//     semaphore bounds how many execute at once.
+//  2. Warm: the plan claims every fresh cell's flight up front and starts
+//     the cells grouped by warm key, so each group shares one functional
+//     warmup (warmshare.go); the single-flight cache ensures exactly one
+//     simulation per unique key and the jobs semaphore bounds how many
+//     execute at once.
 //  3. Merge: experiment functions run concurrently, block on the in-flight
 //     cells they need, and their output blocks are collected into a slice
 //     indexed by registration order — so the merged output is deterministic
@@ -96,17 +98,11 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 	r.onProgress = opts.Progress
 	r.mu.Unlock()
 
-	// Warm every planned cell. Cells an experiment needs beyond the plan
-	// (a planning miss) are still simulated lazily and merely lose overlap.
-	var warm sync.WaitGroup
-	for _, key := range plan {
-		warm.Add(1)
-		go func(key runKey) {
-			defer warm.Done()
-			// Errors surface through the experiments that need the cell.
-			_, _ = r.result(key)
-		}(key)
-	}
+	// Warm every planned cell, grouped by warm key (warmshare.go). Cells an
+	// experiment needs beyond the plan (a planning miss) are still simulated
+	// lazily and merely lose overlap. Errors surface through the experiments
+	// that need the cell.
+	warmed := r.startPlan(plan)
 
 	outs := make([]ExperimentOutput, len(exps))
 	var wg sync.WaitGroup
@@ -130,7 +126,7 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 		}(i, e)
 	}
 	wg.Wait()
-	warm.Wait()
+	warmed()
 
 	r.mu.Lock()
 	r.onProgress = nil
@@ -229,16 +225,7 @@ func (r *Runner) FreshCost(exps []Experiment) int {
 func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
 	// Warm every planned cell through the shared single-flight cache so a
 	// request's cells overlap regardless of experiment structure.
-	plan := planCells(r.Cfg, exps)
-	var warm sync.WaitGroup
-	for _, key := range plan {
-		warm.Add(1)
-		go func(key runKey) {
-			defer warm.Done()
-			// Errors surface through the experiments that need the cell.
-			_, _ = r.result(key)
-		}(key)
-	}
+	warmed := r.startPlan(planCells(r.Cfg, exps))
 
 	outs := make([]ExperimentOutput, len(exps))
 	var wg sync.WaitGroup
@@ -262,6 +249,6 @@ func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
 		}(i, e)
 	}
 	wg.Wait()
-	warm.Wait()
+	warmed()
 	return outs
 }

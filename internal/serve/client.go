@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"dylect/internal/retry"
 	"dylect/internal/telemetry"
 )
 
@@ -192,7 +193,7 @@ func (c *Client) do(ctx context.Context, body []byte, id string) (*RunResponse, 
 func (c *Client) backoff(attempt int, last error) time.Duration {
 	maxB := c.MaxBackoff
 	if maxB <= 0 {
-		maxB = 10 * time.Second
+		maxB = retry.DefaultCap
 	}
 	var apiErr *APIError
 	if errors.As(last, &apiErr) && apiErr.RetryAfter > 0 {
@@ -202,10 +203,7 @@ func (c *Client) backoff(attempt int, last error) time.Duration {
 	if base <= 0 {
 		base = 200 * time.Millisecond
 	}
-	d := base << (attempt - 1)
-	if d > maxB || d <= 0 {
-		d = maxB
-	}
+	d := retry.Ceiling(base, maxB, attempt)
 	// Full jitter: uniform in (0, d]. Decorrelates clients that were
 	// rejected together so they do not return together.
 	c.mu.Lock()

@@ -248,14 +248,33 @@ func Run(opts Options) *Result {
 // Errors are either configuration faults (the footprint scaled away) or, with
 // opts.Audit set, an *invariant.Error describing translator-state corruption.
 func RunE(opts Options) (*Result, error) {
+	m, err := Build(opts)
+	if err != nil {
+		return nil, err
+	}
+	m.Warmup()
+	return m.Finish()
+}
+
+// Machine is one cell between its phases. Build assembles it; Warmup,
+// WarmupRecorded or Restore brings it to the warmup boundary; Finish runs
+// the timed window and collects the Result. RunE sequences the phases with a
+// live warmup; the harness shares one recorded warmup across every cell of
+// a warm key (warm.go). A Machine is single-use and not safe for concurrent
+// use.
+type Machine struct {
+	opts      Options
+	s         *System
+	dramBytes uint64
+}
+
+// Build assembles the cell's system: DRAM sized for the setting, the
+// translator under test, the page table and the per-core generators.
+func Build(opts Options) (*Machine, error) {
 	if opts.ScaleDivisor == 0 {
 		opts.ScaleDivisor = 1
 	}
-	cfg := Default()
-	if opts.Cfg != nil {
-		cfg = *opts.Cfg
-	}
-	cfg.HugePages = opts.HugePages
+	cfg := opts.WarmKey().Cfg
 	w := opts.Workload
 	w.FootprintBytes /= opts.ScaleDivisor
 	// The paper's dynamics need footprints well beyond the CTE cache's
@@ -322,11 +341,21 @@ func RunE(opts Options) (*Result, error) {
 	for i := range gens {
 		gens[i] = w.NewGenerator(i, opts.Seed+1)
 	}
-	s := New(cfg, eng, d, tr, pt, gens)
+	return &Machine{opts: opts, s: New(cfg, eng, d, tr, pt, gens), dramBytes: dramBytes}, nil
+}
 
-	if opts.WarmupAccesses > 0 {
-		s.Warmup(opts.WarmupAccesses)
+// Warmup runs the live functional warmup.
+func (m *Machine) Warmup() {
+	if m.opts.WarmupAccesses > 0 {
+		m.s.Warmup(m.opts.WarmupAccesses)
 	}
+}
+
+// Finish runs the timed window from the warmup boundary and collects the
+// Result.
+func (m *Machine) Finish() (*Result, error) {
+	opts, s := m.opts, m.s
+	eng, tr := s.Eng, s.Trans
 	s.ResetStats()
 	window := opts.Window
 	if window == 0 {
@@ -379,7 +408,7 @@ func RunE(opts Options) (*Result, error) {
 		return nil, auditErr
 	}
 
-	return collect(s, opts, window, dramBytes), nil
+	return collect(s, opts, window, m.dramBytes), nil
 }
 
 // scheduleFaults arms the plan's corruption ops on the event engine. Ops with

@@ -191,20 +191,26 @@ func (s *System) wrapDRAM(addr uint64) uint64 { return addr % s.dramCap }
 
 // Warmup runs n accesses per core through the functional path: caches,
 // TLBs, prefetcher training, translator state (expansions, promotions,
-// compression) — no timing. Mirrors the 5-second atomic-mode warmup.
+// compression) — no timing. Mirrors the 5-second atomic-mode warmup. Nothing
+// here reads translator state; the translator only receives Warm and
+// WalkHint calls, which is what lets warm.go share one warmup across designs.
 func (s *System) Warmup(n uint64) {
 	var a trace.Access
 	for _, c := range s.cores {
 		for i := uint64(0); i < n; i++ {
 			c.gen.Next(&a)
 			pa := s.PT.Translate(a.VA)
+			line := pa &^ 63
 			s.firstTouch(pa)
 			if !c.tlb.Lookup(a.VA) {
 				c.walker.Walk(a.VA) // train the walker cache
 				c.tlb.Insert(a.VA, s.PT.HugePages)
-				s.walkHint(pa)
+				// A hint only reads its address's compression unit (whole
+				// 4KB pages), so hinting with the line changes nothing and
+				// keeps every warmup translator call line-aligned, the form
+				// the warm log records (warm.go).
+				s.walkHint(line)
 			}
-			line := pa &^ 63
 			if c.l1.Access(line, a.Write) {
 				continue
 			}

@@ -7,7 +7,9 @@
 package tlb
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dylect/internal/cache"
 	"dylect/internal/stats"
@@ -52,6 +54,67 @@ func NewTLB(entries, assoc int) *TLB {
 		t.sets[i], backing = backing[:assoc:assoc], backing[assoc:]
 	}
 	return t
+}
+
+// Snapshot is an immutable, compact copy of a TLB's contents: each set's
+// valid entries from least to most recently used, so an entry's position is
+// its LRU rank, followed by the set's empty entries. An entry is stored as
+// (vpn<<1 | huge) + 1, 0 marking an empty one. Statistics are not captured.
+type Snapshot struct {
+	assoc   int
+	entries []uint64
+}
+
+// Bytes returns the snapshot's approximate heap footprint.
+func (s *Snapshot) Bytes() int { return 8 * len(s.entries) }
+
+// Snapshot captures the TLB's contents.
+func (t *TLB) Snapshot() *Snapshot {
+	s := &Snapshot{assoc: t.assoc, entries: make([]uint64, 0, len(t.sets)*t.assoc)}
+	order := make([]entry, 0, t.assoc)
+	for _, set := range t.sets {
+		order = order[:0]
+		for _, e := range set {
+			if e.valid {
+				order = append(order, e)
+			}
+		}
+		// Valid entries carry distinct stamps, so this order is total.
+		slices.SortFunc(order, func(a, b entry) int { return cmp.Compare(a.used, b.used) })
+		for _, e := range order {
+			v := e.vpn << 1
+			if e.huge {
+				v |= 1
+			}
+			s.entries = append(s.entries, v+1)
+		}
+		for range t.assoc - len(order) {
+			s.entries = append(s.entries, 0)
+		}
+	}
+	return s
+}
+
+// Restore loads a snapshot into a TLB of the same geometry. Lookups match by
+// page and victims are chosen by stamp order or among interchangeable empty
+// entries, never by position, so the TLB behaves exactly as the snapshotted
+// one did. Statistics are left untouched.
+func (t *TLB) Restore(s *Snapshot) {
+	if s.assoc != t.assoc || len(s.entries) != len(t.sets)*t.assoc {
+		panic(fmt.Sprintf("tlb: restoring a %d-entry %d-way snapshot into a %d-entry %d-way TLB",
+			len(s.entries), s.assoc, len(t.sets)*t.assoc, t.assoc))
+	}
+	for i, set := range t.sets {
+		for j := range set {
+			v := s.entries[i*t.assoc+j]
+			if v == 0 {
+				set[j] = entry{}
+				continue
+			}
+			set[j] = entry{vpn: (v - 1) >> 1, huge: (v-1)&1 != 0, valid: true, used: uint64(j + 1)}
+		}
+	}
+	t.tick = uint64(t.assoc)
 }
 
 func (t *TLB) set(vpn uint64) []entry {
@@ -239,6 +302,10 @@ func (w *Walker) Walk(va uint64) []uint64 {
 	w.MemRefs.Add(uint64(len(memRefs)))
 	return memRefs
 }
+
+// Cache exposes the walker cache, so warmup state can be snapshotted and
+// restored.
+func (w *Walker) Cache() *cache.Cache { return w.wcache }
 
 // CacheHitRate returns the fraction of page-table references filtered by
 // the walker cache (the leaf PTE always goes to memory, so it counts

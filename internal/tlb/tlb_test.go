@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -210,5 +211,33 @@ func BenchmarkTLBLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tl.Lookup(uint64(i*4096) % (2 << 30))
+	}
+}
+
+// TestSnapshotRestoreIsExact: a TLB restored from a snapshot behaves exactly
+// like the snapshotted TLB from then on, under a random mix of 4KB and 2MB
+// lookups and inserts that keeps sets full, so LRU order decides every
+// eviction.
+func TestSnapshotRestoreIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	va := func() uint64 { return uint64(rng.Intn(1<<12)) * PageSize4K }
+	orig := NewTLB(64, 4)
+	step := func(tl *TLB, a uint64, huge bool) bool {
+		if tl.Lookup(a) {
+			return true
+		}
+		tl.Insert(a, huge)
+		return false
+	}
+	for i := 0; i < 5000; i++ {
+		step(orig, va(), rng.Intn(4) == 0)
+	}
+	restored := NewTLB(64, 4)
+	restored.Restore(orig.Snapshot())
+	for i := 0; i < 20000; i++ {
+		a, huge := va(), rng.Intn(4) == 0
+		if h1, h2 := step(orig, a, huge), step(restored, a, huge); h1 != h2 {
+			t.Fatalf("step %d: hit %v vs restored %v", i, h1, h2)
+		}
 	}
 }

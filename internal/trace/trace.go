@@ -9,7 +9,10 @@
 // parallelism), and data compressibility.
 package trace
 
-import "math/rand"
+import (
+	"math/rand"
+	"reflect"
+)
 
 // Access is one memory instruction in the synthesized stream.
 type Access struct {
@@ -33,9 +36,12 @@ type Generator interface {
 	Next(a *Access)
 }
 
-// component is a single access-pattern primitive inside a mixture.
+// component is a single access-pattern primitive inside a mixture. clone
+// returns an independent copy in the same state whose random draws come
+// from rng.
 type component interface {
 	next(rng *rand.Rand, a *Access)
+	clone(rng *rand.Rand) component
 }
 
 // region is a byte range [base, base+size).
@@ -67,12 +73,18 @@ func (s *scan) next(rng *rand.Rand, a *Access) {
 	a.Stream = s.streamID
 }
 
+func (s *scan) clone(*rand.Rand) component {
+	c := *s
+	return &c
+}
+
 // zipfGather touches a Zipf-distributed page within its region, with a
 // configurable number of spatially-local follow-on accesses per touch —
 // vertex-property gathers, hash lookups.
 type zipfGather struct {
 	reg       region
 	zipf      *rand.Zipf
+	skew      float64
 	nPages    uint64
 	burst     int // accesses per page touch (spatial locality)
 	burstLeft int
@@ -98,6 +110,7 @@ func newZipfGather(rng *rand.Rand, reg region, skew float64, burst int, writes f
 	return &zipfGather{
 		reg:       reg,
 		zipf:      rand.NewZipf(rng, skew, 1, nPages-1),
+		skew:      skew,
 		nPages:    nPages,
 		burst:     burst,
 		writes:    writes,
@@ -137,6 +150,15 @@ func (z *zipfGather) next(rng *rand.Rand, a *Access) {
 	a.Stream = z.streamID
 }
 
+// clone rebuilds the Zipf sampler over rng: rand.Zipf holds only constants
+// derived from its parameters plus its source, so the rebuilt sampler draws
+// exactly as the original would from the same source state.
+func (z *zipfGather) clone(rng *rand.Rand) component {
+	c := *z
+	c.zipf = rand.NewZipf(rng, z.skew, 1, z.nPages-1)
+	return &c
+}
+
 // chase models dependent pointer chasing: every access is a load whose
 // address the next access depends on, hopping between Zipf-skewed pages.
 type chase struct {
@@ -149,9 +171,14 @@ func (c *chase) next(rng *rand.Rand, a *Access) {
 	a.Write = false
 }
 
+func (c *chase) clone(rng *rand.Rand) component {
+	return &chase{gather: c.gather.clone(rng).(*zipfGather)}
+}
+
 // Mix is a weighted mixture of components; the standard Generator
 // implementation.
 type Mix struct {
+	src     rand.Source
 	rng     *rand.Rand
 	comps   []component
 	weights []float64
@@ -160,7 +187,8 @@ type Mix struct {
 
 // NewMix builds a mixture generator with the given RNG seed.
 func NewMix(seed int64) *Mix {
-	return &Mix{rng: rand.New(rand.NewSource(seed))}
+	src := rand.NewSource(seed)
+	return &Mix{src: src, rng: rand.New(src)}
 }
 
 func (m *Mix) add(w float64, c component) {
@@ -179,4 +207,29 @@ func (m *Mix) Next(a *Access) {
 		}
 		r -= w
 	}
+}
+
+// Clone returns an independent generator in m's exact state: its stream
+// continues precisely where m's would, without replaying any Next. Clone only
+// reads m, so many goroutines may clone one frozen Mix concurrently.
+func (m *Mix) Clone() *Mix {
+	src := cloneSource(m.src)
+	c := &Mix{src: src, rng: rand.New(src), weights: m.weights, total: m.total}
+	c.comps = make([]component, len(m.comps))
+	for i, comp := range m.comps {
+		c.comps[i] = comp.clone(c.rng)
+	}
+	return c
+}
+
+// cloneSource copies a math/rand source by value. rand.NewSource's state is a
+// flat struct of integers (two indices and the feedback register), so a value
+// copy is an exact, independent source; TestMixCloneIsExact guards that
+// assumption against a future library change. Copying is ~5 KB per source,
+// against replaying every draw since seeding.
+func cloneSource(src rand.Source) rand.Source {
+	v := reflect.ValueOf(src).Elem()
+	c := reflect.New(v.Type())
+	c.Elem().Set(v)
+	return c.Interface().(rand.Source)
 }

@@ -289,3 +289,28 @@ func BenchmarkGeneratorNext(b *testing.B) {
 		g.Next(&a)
 	}
 }
+
+// TestMixCloneIsExact: a clone taken mid-stream continues exactly where the
+// original does, and the two advance independently. The clone runs first,
+// so a clone that shared state with its original would shift the
+// original's stream and fail the comparison.
+func TestMixCloneIsExact(t *testing.T) {
+	for _, w := range Workloads() {
+		g := w.NewGenerator(1, 7).(*Mix)
+		var a Access
+		for i := 0; i < 10_000; i++ {
+			g.Next(&a)
+		}
+		c := g.Clone()
+		got := make([]Access, 5_000)
+		for i := range got {
+			c.Next(&got[i])
+		}
+		for i, want := range got {
+			g.Next(&a)
+			if a != want {
+				t.Fatalf("%s: clone diverged at access %d: got %+v, want %+v", w.Name, i, want, a)
+			}
+		}
+	}
+}

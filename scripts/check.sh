@@ -10,6 +10,14 @@
 #            audit (-ignores): stale or malformed suppressions fail
 #   race     go test -race ./...   (includes the jobs=1 vs jobs=N harness
 #            equivalence and single-flight hammer tests at 4+ jobs)
+#   stress   the harness failure paths repeated under the race detector:
+#            cancel, watchdog timeout, retry, single-flight and the
+#            shared-warmup concurrency tests (many cells restoring one
+#            image, a recorder panicking with waiters queued, a cancel while
+#            waiting, the live fallback when every image slot is taken,
+#            recordings side by side at jobs 8) at -count=20, then the
+#            pre-canceled CLI drain report at -count=200, which must be
+#            byte-stable
 #   golden   re-run the golden-run regression corpus (invariant audits on)
 #            and byte-compare against internal/harness/testdata/golden
 #   faults   fault-injection smoke: seeded mid-run corruptions of every
@@ -58,13 +66,13 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race golden faults obs serve store fabric fuzz bench)
+[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)
 
 for s in "${steps[@]}"; do
 	case "$s" in
-	build | vet | lint | contracts | race | golden | faults | obs | serve | store | fabric | fuzz | bench) ;;
+	build | vet | lint | contracts | race | stress | golden | faults | obs | serve | store | fabric | fuzz | bench) ;;
 	*)
-		echo "unknown step '$s' (want: build vet lint contracts race golden faults obs serve store fabric fuzz bench)" >&2
+		echo "unknown step '$s' (want: build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)" >&2
 		exit 2
 		;;
 	esac
@@ -111,6 +119,14 @@ fi
 if want race; then
 	echo "== go test -race ./..."
 	go test -race ./...
+fi
+
+if want stress; then
+	echo "== stress: harness failure paths under -race -count=20"
+	go test -race -count=20 -run \
+		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive)|TestWaitSettled' \
+		./internal/harness
+	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
 fi
 
 if want golden; then
