@@ -120,7 +120,7 @@ func coordinatorCLI(ctx context.Context, args []string, out, errOut io.Writer) i
 			hedgeMin = fs.Duration("hedge-min", 100*time.Millisecond, "lower clamp on the p95-derived hedge delay")
 			hedgeMax = fs.Duration("hedge-max", 10*time.Second, "upper clamp on the p95-derived hedge delay")
 			attempts = fs.Int("dispatch-attempts", 3, "workers a cell is offered to before its failure surfaces")
-			dbackoff = fs.Duration("dispatch-backoff", 200*time.Millisecond, "base backoff between dispatch attempts (full jitter, raised by Retry-After)")
+			dbackoff = fs.Duration("dispatch-backoff", 200*time.Millisecond, "base backoff between dispatch attempts (full jitter; a worker's Retry-After overrides it, capped at 10s)")
 			heartbeat = fs.Duration("heartbeat", time.Second, "worker readiness probe interval")
 			deadAfter = fs.Int("dead-after", 3, "consecutive heartbeat/dispatch failures before a worker leaves the ring")
 			fseed = fs.Int64("fabric-seed", 1, "dispatch backoff jitter seed (scheduling only; never reaches exported bytes)")

@@ -7,8 +7,9 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
 	"dylect/internal/stats"
@@ -38,28 +39,27 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// invalidTag marks an empty way. Line addresses are byte addresses shifted
-// right, and machine addresses are far below 2^64, so no real line can
-// collide with the sentinel; encoding validity in the tag keeps the lookup
-// scan a single comparison over a contiguous tag array.
-const invalidTag = ^uint64(0)
-
 // Cache is a set-associative, true-LRU, write-back cache keyed by line
 // address. It is purely functional (no timing); latency lives in the
-// system model. Way state is stored as parallel flat arrays (tags, LRU
-// stamps, dirty bits) indexed by set*assoc+way: the tag scan that dominates
-// simulation time then walks a dense uint64 array instead of striding
-// through per-way structs.
+// system model.
+//
+// Each set keeps its ways in recency order, most recently used first, with
+// empty ways trailing, so no LRU stamp is stored: a hit moves its way to the
+// front, a fill shifts the set down one way and drops the last (the LRU line,
+// or an empty way), and an invalidation closes the gap. A way is one packed
+// uint32, (tag+1)<<1 | dirty, where tag = line / sets and 0 marks an empty
+// way. A 16-way set is then 64 bytes, one host cache line, and the whole
+// cache is a single flat array indexed by set*assoc+way.
 type Cache struct {
 	cfg   Config
 	assoc int
-	tags  []uint64 // invalidTag when the way is empty
-	used  []uint64 // LRU stamp
-	dirty []bool
-	tick  uint64
-	shift uint
-	mask  uint64
-	nsets uint64
+	ways  []uint32
+	shift uint // log2(LineBytes)
+	// Power-of-two set counts index with a mask and a shift; others (mask
+	// 0) with a division.
+	mask    uint64
+	setBits uint
+	nsets   uint64
 
 	Hits   stats.Counter
 	Misses stats.Counter
@@ -72,24 +72,18 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.Sets()
-	n := nsets * cfg.Assoc
 	c := &Cache{
 		cfg:   cfg,
 		assoc: cfg.Assoc,
-		tags:  make([]uint64, n),
-		used:  make([]uint64, n),
-		dirty: make([]bool, n),
+		ways:  make([]uint32, nsets*cfg.Assoc),
 		nsets: uint64(nsets),
-	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
 	}
 	for s := uint(0); (1 << s) < cfg.LineBytes; s++ {
 		c.shift = s + 1
 	}
-	c.mask = uint64(nsets - 1)
-	if nsets&(nsets-1) != 0 {
-		c.mask = 0 // non-power-of-two sets: use modulo
+	if nsets > 1 && nsets&(nsets-1) == 0 {
+		c.mask = uint64(nsets - 1)
+		c.setBits = uint(bits.TrailingZeros(uint(nsets)))
 	}
 	return c
 }
@@ -100,14 +94,45 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr converts a byte address to this cache's line address.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.shift }
 
-// setBase returns the index of the set's first way in the flat arrays.
+// locate returns the ways and index of the set holding the line containing
+// addr, and the line's packed key, (tag+1)<<1 with the dirty bit clear. The
+// key stays 64-bit, so a tag too wide to store can never match a stored way.
 //
 //dylect:hotpath
-func (c *Cache) setBase(line uint64) int {
+func (c *Cache) locate(addr uint64) (set []uint32, s, key uint64) {
+	line := c.LineAddr(addr)
+	var tag uint64
 	if c.mask != 0 {
-		return int(line&c.mask) * c.assoc
+		s, tag = line&c.mask, line>>c.setBits
+	} else {
+		s, tag = line%c.nsets, line/c.nsets
 	}
-	return int(line%c.nsets) * c.assoc
+	base := int(s) * c.assoc
+	return c.ways[base : base+c.assoc], s, (tag + 1) << 1
+}
+
+// find returns the way of set holding key, or -1.
+//
+//dylect:hotpath
+func find(set []uint32, key uint64) int {
+	for i, w := range set {
+		if uint64(w&^1) == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch moves way i to the front of its set, setting its dirty bit if dirty.
+//
+//dylect:hotpath
+func touch(set []uint32, i int, dirty bool) {
+	w := set[i]
+	if dirty {
+		w |= 1
+	}
+	copy(set[1:i+1], set[:i])
+	set[0] = w
 }
 
 // Access looks up the line containing addr, updating LRU and hit/miss
@@ -115,18 +140,11 @@ func (c *Cache) setBase(line uint64) int {
 //
 //dylect:hotpath
 func (c *Cache) Access(addr uint64, write bool) bool {
-	line := c.LineAddr(addr)
-	base := c.setBase(line)
-	c.tick++
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == line {
-			c.used[i] = c.tick
-			if write {
-				c.dirty[i] = true
-			}
-			c.Hits.Inc()
-			return true
-		}
+	set, _, key := c.locate(addr)
+	if i := find(set, key); i >= 0 {
+		touch(set, i, write)
+		c.Hits.Inc()
+		return true
 	}
 	c.Misses.Inc()
 	return false
@@ -137,70 +155,49 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 //
 //dylect:hotpath
 func (c *Cache) Probe(addr uint64) bool {
-	line := c.LineAddr(addr)
-	base := c.setBase(line)
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == line {
-			return true
-		}
-	}
-	return false
+	set, _, key := c.locate(addr)
+	return find(set, key) >= 0
 }
 
 // Fill inserts the line containing addr (marking it dirty if requested) and
 // returns the evicted victim, if any. Filling an already-present line only
-// refreshes its LRU position.
+// refreshes its LRU position. It panics on a tag too wide for a packed way,
+// which takes terabytes of simulated footprint.
 //
 //dylect:hotpath
 func (c *Cache) Fill(addr uint64, dirty bool) (victimAddr uint64, victimDirty, evicted bool) {
-	line := c.LineAddr(addr)
-	base := c.setBase(line)
-	c.tick++
-	lru := base
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == line {
-			c.used[i] = c.tick
-			if dirty {
-				c.dirty[i] = true
-			}
-			return 0, false, false
-		}
-		if c.tags[i] == invalidTag {
-			lru = i
-		}
+	set, s, key := c.locate(addr)
+	if i := find(set, key); i >= 0 {
+		touch(set, i, dirty)
+		return 0, false, false
 	}
-	if c.tags[lru] != invalidTag { // no invalid way found; find true LRU
-		for i := base; i < base+c.assoc; i++ {
-			if c.used[i] < c.used[lru] {
-				lru = i
-			}
-		}
+	if key > math.MaxUint32 {
+		panic(fmt.Sprintf("cache: line %#x does not fit a packed way", c.LineAddr(addr)))
 	}
-	vTag, vDirty := c.tags[lru], c.dirty[lru]
-	c.tags[lru] = line
-	c.dirty[lru] = dirty
-	c.used[lru] = c.tick
-	if vTag != invalidTag {
-		return vTag << c.shift, vDirty, true
+	if dirty {
+		key |= 1
 	}
-	return 0, false, false
+	v := set[len(set)-1]
+	copy(set[1:], set)
+	set[0] = uint32(key)
+	if v == 0 {
+		return 0, false, false
+	}
+	return ((uint64(v>>1)-1)*c.nsets + s) << c.shift, v&1 != 0, true
 }
 
 // Invalidate drops the line containing addr if present, returning whether it
 // was dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
-	line := c.LineAddr(addr)
-	base := c.setBase(line)
-	for i := base; i < base+c.assoc; i++ {
-		if c.tags[i] == line {
-			d := c.dirty[i]
-			c.tags[i] = invalidTag
-			c.dirty[i] = false
-			c.used[i] = 0
-			return d, true
-		}
+	set, _, key := c.locate(addr)
+	i := find(set, key)
+	if i < 0 {
+		return false, false
 	}
-	return false, false
+	d := set[i]&1 != 0
+	copy(set[i:], set[i+1:])
+	set[len(set)-1] = 0
+	return d, true
 }
 
 // HitRate returns hits/(hits+misses).
@@ -215,103 +212,39 @@ func (c *Cache) ResetStats() {
 	c.Misses.Reset()
 }
 
-// Snapshot is an immutable, compact copy of a cache's contents. Each set's
-// valid lines are listed from least to most recently used, so a line's
-// position is its LRU rank and no stamp is stored, followed by the set's
-// empty ways. A line is stored as its tag within the set (line / sets) plus
-// one, 0 marking an empty way: 16 bits when every tag fits, as the L3's do at
-// every simulated footprint, else 32. Dirty bits are a bitset. Statistics
-// are not captured.
+// Snapshot is an immutable copy of a cache's contents: its packed ways,
+// whose positions are already the recency order. Statistics are not
+// captured.
 type Snapshot struct {
-	cfg    Config
-	narrow []uint16 // set when every stored tag fits 16 bits
-	wide   []uint32 // set otherwise
-	dirty  []uint64 // one bit per way, in snapshot order
+	cfg  Config
+	ways []uint32
 }
 
 // Bytes returns the snapshot's approximate heap footprint.
-func (s *Snapshot) Bytes() int { return 2*len(s.narrow) + 4*len(s.wide) + 8*len(s.dirty) }
+func (s *Snapshot) Bytes() int { return 4 * len(s.ways) }
 
-// Snapshot captures the cache's contents. It panics on a tag wider than 32
-// bits, which takes terabytes of simulated footprint.
+// Snapshot captures the cache's contents.
 func (c *Cache) Snapshot() *Snapshot {
-	nsets := c.nsets
-	var maxTag uint64
-	for _, t := range c.tags {
-		if t != invalidTag && t/nsets+1 > maxTag {
-			maxTag = t/nsets + 1
-		}
-	}
-	s := &Snapshot{cfg: c.cfg, dirty: make([]uint64, (len(c.tags)+63)/64)}
-	switch {
-	case maxTag < 1<<16:
-		s.narrow = make([]uint16, len(c.tags))
-	case maxTag < 1<<32:
-		s.wide = make([]uint32, len(c.tags))
-	default:
-		panic(fmt.Sprintf("cache: tag %#x does not fit a snapshot", maxTag-1))
-	}
-	order := make([]int, 0, c.assoc)
-	for base := 0; base < len(c.tags); base += c.assoc {
-		order = order[:0]
-		for i := base; i < base+c.assoc; i++ {
-			if c.tags[i] != invalidTag {
-				order = append(order, i)
-			}
-		}
-		// Valid ways of a set carry distinct stamps, so this order is total.
-		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(c.used[a], c.used[b]) })
-		for j, i := range order {
-			tag := c.tags[i]/nsets + 1
-			if s.narrow != nil {
-				s.narrow[base+j] = uint16(tag)
-			} else {
-				s.wide[base+j] = uint32(tag)
-			}
-			if c.dirty[i] {
-				s.dirty[(base+j)/64] |= 1 << ((base + j) % 64)
-			}
-		}
-	}
-	return s
+	return &Snapshot{cfg: c.cfg, ways: slices.Clone(c.ways)}
 }
 
 // Restore loads a snapshot into the cache, which must have the snapshot's
-// geometry. Replacement decisions afterwards are exactly those of the
-// snapshotted cache: lookups match by tag and victims are chosen by stamp
-// order or among interchangeable empty ways, never by way position; within
-// each set the restored stamps keep their order, and every later stamp
-// exceeds them all. Statistics are left untouched.
+// geometry. Every later hit, victim and dirty bit is exactly the
+// snapshotted cache's. Statistics are left untouched.
 func (c *Cache) Restore(s *Snapshot) {
 	if s.cfg != c.cfg {
 		panic(fmt.Sprintf("cache: restoring a %+v snapshot into a %+v cache", s.cfg, c.cfg))
 	}
-	for i := range c.tags {
-		var tag uint64
-		if s.narrow != nil {
-			tag = uint64(s.narrow[i])
-		} else {
-			tag = uint64(s.wide[i])
-		}
-		if tag == 0 {
-			c.tags[i], c.used[i], c.dirty[i] = invalidTag, 0, false
-			continue
-		}
-		set := uint64(i / c.assoc)
-		c.tags[i] = (tag-1)*c.nsets + set
-		c.used[i] = uint64(i%c.assoc) + 1
-		c.dirty[i] = s.dirty[i/64]&(1<<(i%64)) != 0
-	}
-	c.tick = uint64(c.assoc)
+	copy(c.ways, s.ways)
 }
 
 // Occupancy returns the fraction of ways currently valid.
 func (c *Cache) Occupancy() float64 {
 	valid := 0
-	for _, t := range c.tags {
-		if t != invalidTag {
+	for _, w := range c.ways {
+		if w != 0 {
 			valid++
 		}
 	}
-	return float64(valid) / float64(len(c.tags))
+	return float64(valid) / float64(len(c.ways))
 }

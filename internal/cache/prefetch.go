@@ -1,6 +1,9 @@
 package cache
 
-import "maps"
+import (
+	"maps"
+	"math/bits"
+)
 
 // Prefetchers from Table 3: next-line with automatic enable/disable at L1/L2
 // and stride prefetchers (degree 2 at L1, degree 4 at L2). They observe the
@@ -11,13 +14,12 @@ import "maps"
 // periodically (the "automatic enable/disable" of Table 3).
 type NextLine struct {
 	enabled bool
-	issued  [64]uint64 // ring of recently prefetched lines
-	// occupancy counts live ring entries per value bucket (line&63): the
-	// usefulness check on every demand access can skip the 64-entry ring
-	// scan whenever no issued line can possibly match. Counts are exact
-	// (incremented on issue, decremented on consume/overwrite), so skipping
-	// is never wrong — it is a fast path, not an approximation.
-	occupancy [64]uint8
+	issued  [64]uint64 // ring of recently prefetched lines, 0 when empty
+	// slots holds, per value bucket (line&63), a bitmask of the ring slots
+	// whose live line falls in that bucket, so the usefulness check on every
+	// demand access visits only the slots that can match, in index order,
+	// as a full ring scan would.
+	slots     [64]uint64
 	head      int
 	nIssued   uint64
 	nUseful   uint64
@@ -52,14 +54,12 @@ const nextLineEvalWindow = 256
 // allocation-free.
 func (p *NextLine) Observe(line uint64, buf []uint64) []uint64 {
 	// Usefulness: the access consumes a previously issued prefetch.
-	if p.occupancy[line&63] > 0 {
-		for i, l := range p.issued {
-			if l != 0 && l == line {
-				p.nUseful++
-				p.issued[i] = 0
-				p.occupancy[line&63]--
-				break
-			}
+	for m := p.slots[line&63]; m != 0; m &= m - 1 {
+		if i := bits.TrailingZeros64(m); p.issued[i] == line {
+			p.nUseful++
+			p.issued[i] = 0
+			p.slots[line&63] &^= 1 << i
+			break
 		}
 	}
 	p.sinceEval++
@@ -78,10 +78,10 @@ func (p *NextLine) Observe(line uint64, buf []uint64) []uint64 {
 	}
 	p.nIssued++
 	if old := p.issued[p.head]; old != 0 {
-		p.occupancy[old&63]--
+		p.slots[old&63] &^= 1 << p.head
 	}
 	p.issued[p.head] = line + 1
-	p.occupancy[(line+1)&63]++
+	p.slots[(line+1)&63] |= 1 << p.head
 	p.head = (p.head + 1) % len(p.issued)
 	return append(buf, line+1)
 }

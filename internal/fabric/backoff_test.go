@@ -24,3 +24,15 @@ func TestDispatchBackoffBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestDispatchRetryAfterClamped: a worker's Retry-After advice overrides the
+// jittered delay but never past the shared cap, however long it is.
+func TestDispatchRetryAfterClamped(t *testing.T) {
+	c := New(Config{RetryBackoff: time.Millisecond, Seed: 7})
+	for _, advice := range []time.Duration{time.Second, 120 * time.Second, retry.Seconds(1e12)} {
+		got := c.delay(1, &DispatchError{Worker: "w", RetryAfter: advice})
+		if want := min(advice, retry.DefaultCap); got != want {
+			t.Fatalf("advice %v: delay %v, want %v", advice, got, want)
+		}
+	}
+}

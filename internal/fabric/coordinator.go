@@ -416,16 +416,18 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 }
 
 // delay draws the jittered exponential delay before a retry, uniform in
-// [0, ceiling] under the shared retry.Ceiling schedule, raised to a worker's
-// Retry-After advice when that is longer.
+// [0, ceiling] under the shared retry.Ceiling schedule. A worker's
+// Retry-After advice overrides it, clamped to the same cap, so a worker
+// cannot park a cell past the cap or fail it against a deadline the next
+// replica could meet.
 func (c *Coordinator) delay(attempt int, last error) time.Duration {
 	ceil := retry.Ceiling(c.cfg.RetryBackoff, retry.DefaultCap, attempt)
 	c.mu.Lock()
 	d := time.Duration(c.rng.Int63n(int64(ceil) + 1))
 	c.mu.Unlock()
 	var de *DispatchError
-	if errors.As(last, &de) && de.RetryAfter > d {
-		d = de.RetryAfter
+	if errors.As(last, &de) {
+		d = retry.Advised(d, de.RetryAfter, retry.DefaultCap)
 	}
 	return d
 }
@@ -593,8 +595,8 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 			de.Msg = string(bytes.TrimSpace(data))
 		}
 		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if sec, perr := strconv.ParseFloat(ra, 64); perr == nil && sec > 0 {
-				de.RetryAfter = time.Duration(sec * float64(time.Second))
+			if sec, perr := strconv.ParseFloat(ra, 64); perr == nil {
+				de.RetryAfter = retry.Seconds(sec)
 			}
 		}
 		if er.Code == CodeConfigMismatch {

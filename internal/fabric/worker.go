@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sync"
 	"time"
 
 	"dylect/internal/cellstore"
@@ -77,7 +76,7 @@ type Worker struct {
 	opts     WorkerOptions
 	log      *slog.Logger
 	clock    func() time.Time
-	inflight sync.WaitGroup
+	inflight serve.InFlight
 }
 
 // NewWorker builds the worker-side handler set.
@@ -96,21 +95,10 @@ func (w *Worker) Register(mux *http.ServeMux) {
 }
 
 // Drain blocks until in-flight cell dispatches finish or ctx expires,
-// reporting whether the drain was clean. New dispatches are rejected once
-// Ready flips false, so this converges.
-func (w *Worker) Drain(ctx context.Context) bool {
-	done := make(chan struct{})
-	go func() {
-		w.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
+// reporting whether the drain was clean: an idle worker drains clean even
+// when ctx has already expired. New dispatches are rejected once Ready
+// flips false, so this converges.
+func (w *Worker) Drain(ctx context.Context) bool { return w.inflight.Drain(ctx) }
 
 func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
@@ -138,7 +126,7 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	w.inflight.Add(1)
+	w.inflight.Add()
 	defer w.inflight.Done()
 	start := w.clock()
 	payload, err := w.opts.Runner.ExecuteCell(req.Context(), cr.Spec)

@@ -117,11 +117,10 @@ func (r *Runner) claimPlan(ctx context.Context, plan []runKey) ([]startGroup, <-
 	return out, freed
 }
 
-// imageSlots is how many groups may hold a warm image at once: one per two
-// worker slots, rounded up. Every group has two or more cells, so at this
-// bound a plan's recordings take no more rounds over the worker slots than
-// the unshared path's live warmups would. Caller holds r.mu.
-func (r *Runner) imageSlots() int { return (cap(r.sem) + 1) / 2 }
+// imageSlots is how many groups may hold a warm image at once: one per
+// worker slot, so every slot can record while the plan's other cells wait
+// for images. Caller holds r.mu.
+func (r *Runner) imageSlots() int { return cap(r.sem) }
 
 // startPlan claims the plan's fresh cells and starts them in the
 // background: the unshared ones at once, then the groups, keeping at most

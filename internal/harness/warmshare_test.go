@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -170,8 +169,8 @@ func TestSharedWarmupCounts(t *testing.T) {
 }
 
 // TestSharedWarmupRecordsSideBySide: a plan keeps one group started per
-// two worker slots, so at jobs 8 the four workloads' recordings run at
-// once, as their live warmups would, instead of one after another.
+// worker slot, so at jobs 8 the four workloads' recordings run at once, as
+// their live warmups would, instead of one after another.
 func TestSharedWarmupRecordsSideBySide(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -370,46 +369,86 @@ func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 	checkMatchesLive(t, r)
 }
 
-// TestSharedWarmupSecondImageFallsBackLive: at jobs 2 the Runner keeps one
-// image. While one request's recording holds it, a second request whose
-// cells would need a second image warms them up live instead of waiting,
-// and finishes first.
+// TestSharedWarmupSecondImageFallsBackLive: at jobs 2 the Runner keeps two
+// images. While one request's two recordings hold both, a second request
+// whose cells would need a third image decides to warm them up live, before
+// either image is published, instead of waiting for one.
 func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	r := NewRunner(tinySharedConfig("omnetpp"))
+	r := NewRunner(tinySharedConfig("omnetpp", "bfs"))
 	r.SetJobs(2)
 	holding, release := make(chan struct{}), make(chan struct{})
-	var held atomic.Bool
+	var entered atomic.Int32
 	r.SetCellHook(func(key string) error {
-		if strings.HasPrefix(key, "omnetpp/") && held.CompareAndSwap(false, true) {
-			close(holding)
-			<-release // the omnetpp recorder holds its group's image open
+		// The first two cells in worker slots are the first request's
+		// recorders, one per workload: their group-mates wait for the
+		// images holding no slot. Both keep their group's image slot.
+		if n := entered.Add(1); n <= 2 {
+			if n == 2 {
+				close(holding)
+			}
+			<-release
 		}
 		return nil
 	})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock()
 	first := make(chan []ExperimentOutput, 1)
 	go func() { first <- RunShared(r.WithContext(context.Background()), experimentsNamed(t, "fig18")) }()
-	<-holding
+	select {
+	case <-holding:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first request's two recordings did not start side by side")
+	}
 	second := r.WithContext(context.Background())
 	second.Cfg.Workloads = []string{"canneal"}
-	for _, out := range RunShared(second, experimentsNamed(t, "fig18")) {
-		if out.Err != nil {
-			t.Fatal(out.Err)
+	secondOut := make(chan []ExperimentOutput, 1)
+	go func() { secondOut <- RunShared(second, experimentsNamed(t, "fig18")) }()
+	// Every canneal cell has left its group (chosen live warmup) while both
+	// recorders still hold their image slots.
+	decided := func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		n := 0
+		for k, l := range r.warm.leases {
+			if k.workload == "canneal" {
+				if l.member {
+					return false
+				}
+				n++
+			}
+		}
+		return n > 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); !decided(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second request's cells did not choose live warmup while every image slot was held")
 		}
 	}
 	if recorded, restored := warmCounts(r); recorded != 0 || restored != 0 {
-		t.Fatalf("second request used the shared path (%d recorded, %d restored) while the first's image was open", recorded, restored)
+		t.Fatalf("an image was published while both recorders were held: %d recorded, %d restored", recorded, restored)
 	}
-	close(release)
-	for _, out := range <-first {
+	unblock()
+	for _, out := range append(<-first, <-secondOut...) {
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}
 	}
-	if recorded, restored := warmCounts(r); recorded != 1 || restored == 0 {
-		t.Fatalf("first request: %d recorded, %d restored", recorded, restored)
+	firstCells := 0
+	r.mu.Lock()
+	for k := range r.cache {
+		if k.workload != "canneal" {
+			firstCells++
+		}
+	}
+	r.mu.Unlock()
+	// The first request's two groups each recorded once and restored every
+	// other member; the canneal cells neither recorded nor restored.
+	if recorded, restored := warmCounts(r); recorded != 2 || restored != firstCells-2 {
+		t.Fatalf("%d recorded and %d restored, want 2 and %d (none for the second request)", recorded, restored, firstCells-2)
 	}
 	checkNoLiveImage(t, r)
 	checkMatchesLive(t, r)

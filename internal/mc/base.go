@@ -203,6 +203,9 @@ type Base struct {
 	// 16-residents-per-frame packing bound on first use so steady-state
 	// compression/expansion churn never reallocates it.
 	residents [][]uint64
+	// displacing is DisplaceChunkFrame's reused copy of the residents it
+	// walks, which relocation removes from the frame's own list.
+	displacing []uint64
 
 	unifiedBase    uint64 // machine address of the Unified CTE Table
 	preGatherBase  uint64 // machine address of the Pre-gathered Table
@@ -630,7 +633,6 @@ func (b *Base) ExpandUnit(u uint64, done func()) {
 		b.expandWait[u] = append(waiters, done)
 		return
 	}
-	st := &b.units[u]
 	frame, stall, ok := b.EnsureFrame()
 	if !ok {
 		// Memory is irrecoverably full; serve from the compressed copy.
@@ -639,47 +641,55 @@ func (b *Base) ExpandUnit(u uint64, done func()) {
 		}
 		return
 	}
-	b.expandWait[u] = nil // mark in flight; frame is reserved
-	b.reservedFrames[frame] = struct{}{}
+	st := &b.units[u]
 	oldChunk, oldClass := st.addr, int(st.class)
-	fa := b.Space.FrameAddr(frame)
-
-	finish := func() {
-		delete(b.reservedFrames, frame)
-		b.ownerUnit[frame] = int64(u)
-		st.level = ML1
-		st.addr = fa
-		st.short = uint8(b.P.GroupSize)
-		b.removeResident(b.Space.FrameOf(oldChunk), u)
-		if f, ok := b.Space.FreeChunk(oldChunk, oldClass); ok {
-			b.ownerUnit[f] = ownerFree
-		}
-		b.Rec.Touch(u)
-		b.updateTables(u, false)
-		b.S.Expansions.Inc()
-		b.emitLevel("expand", u, ML2, ML1, "demand")
-		// Write the decompressed page into its frame (posted).
-		b.WriteBlocks(fa, b.frameBlocks, dram.ClassMigration, true)
-		waiters := b.expandWait[u]
-		delete(b.expandWait, u)
-		if done != nil {
-			done()
-		}
-		for _, w := range waiters {
-			if w != nil {
-				w()
-			}
-		}
-		b.CheckPressure()
-	}
 	if b.functionalMode {
-		finish()
+		// Nothing runs between the reservation and an inline finish, so
+		// functional mode writes no in-flight marks.
+		b.finishExpand(u, frame, oldChunk, oldClass, done)
 		return
 	}
+	b.expandWait[u] = nil // mark in flight; frame is reserved
+	b.reservedFrames[frame] = struct{}{}
 	decompress := b.P.CompLatency.For(b.P.Granularity)
 	b.ReadBlocks(oldChunk, b.chunkBlocks(oldClass), dram.ClassMigration, false, func() {
-		b.Eng.Schedule(decompress+stall, finish)
+		b.Eng.Schedule(decompress+stall, func() {
+			delete(b.reservedFrames, frame)
+			b.finishExpand(u, frame, oldChunk, oldClass, done)
+		})
 	})
+}
+
+// finishExpand moves u from its old chunk into frame once the decompressed
+// data is available, then wakes done and every queued waiter.
+func (b *Base) finishExpand(u, frame, oldChunk uint64, oldClass int, done func()) {
+	st := &b.units[u]
+	fa := b.Space.FrameAddr(frame)
+	b.ownerUnit[frame] = int64(u)
+	st.level = ML1
+	st.addr = fa
+	st.short = uint8(b.P.GroupSize)
+	b.removeResident(b.Space.FrameOf(oldChunk), u)
+	if f, ok := b.Space.FreeChunk(oldChunk, oldClass); ok {
+		b.ownerUnit[f] = ownerFree
+	}
+	b.Rec.Touch(u)
+	b.updateTables(u, false)
+	b.S.Expansions.Inc()
+	b.emitLevel("expand", u, ML2, ML1, "demand")
+	// Write the decompressed page into its frame (posted).
+	b.WriteBlocks(fa, b.frameBlocks, dram.ClassMigration, true)
+	waiters := b.expandWait[u]
+	delete(b.expandWait, u)
+	if done != nil {
+		done()
+	}
+	for _, w := range waiters {
+		if w != nil {
+			w()
+		}
+	}
+	b.CheckPressure()
 }
 
 // FetchCTEBlock reads one CTE-table block from DRAM (deduplicating
@@ -691,27 +701,33 @@ func (b *Base) FetchCTEBlock(blockAddr uint64, cacheIt bool, done func()) {
 		b.fetchWait[blockAddr] = append(waiters, done)
 		return
 	}
-	b.fetchWait[blockAddr] = nil
-	complete := func() {
-		if cacheIt {
-			b.FillCTE(blockAddr, "demand")
-		}
-		waiters := b.fetchWait[blockAddr]
-		delete(b.fetchWait, blockAddr)
-		if done != nil {
-			done()
-		}
-		for _, w := range waiters {
-			if w != nil {
-				w()
-			}
-		}
-	}
 	if b.functionalMode {
-		complete()
+		// The block arrives at once; nothing can queue behind it.
+		b.finishFetch(blockAddr, cacheIt, done)
 		return
 	}
-	b.ReadBlocks(blockAddr, 1, dram.ClassCTE, false, complete)
+	b.fetchWait[blockAddr] = nil
+	b.ReadBlocks(blockAddr, 1, dram.ClassCTE, false, func() {
+		b.finishFetch(blockAddr, cacheIt, done)
+	})
+}
+
+// finishFetch completes a CTE block fetch: it fills the CTE cache when
+// cacheIt is set, then wakes done and every queued waiter.
+func (b *Base) finishFetch(blockAddr uint64, cacheIt bool, done func()) {
+	if cacheIt {
+		b.FillCTE(blockAddr, "demand")
+	}
+	waiters := b.fetchWait[blockAddr]
+	delete(b.fetchWait, blockAddr)
+	if done != nil {
+		done()
+	}
+	for _, w := range waiters {
+		if w != nil {
+			w()
+		}
+	}
 }
 
 // DataAccess performs the demand 64B access for an uncompressed unit at the

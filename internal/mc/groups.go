@@ -266,9 +266,9 @@ func (b *Base) DisplaceChunkFrame(frame uint64) bool {
 	// Reclaim the frame's free chunks first so relocation cannot allocate
 	// back into the frame being vacated.
 	b.Space.EvictFrameChunks(frame)
-	res := append([]uint64(nil), b.residents[frame]...)
+	b.displacing = append(b.displacing[:0], b.residents[frame]...)
 	var moved uint64
-	for _, q := range res {
+	for _, q := range b.displacing {
 		st := &b.units[q]
 		if st.level != ML2 || b.Space.FrameOf(st.addr) != frame {
 			b.removeResident(frame, q) // stale entry

@@ -25,8 +25,8 @@ type TraceEvent struct {
 	Pid int     `json:"pid"`
 	Tid int     `json:"tid"`
 	// S scopes instant events ("t" = thread).
-	S    string            `json:"s,omitempty"`
-	Args map[string]any    `json:"args,omitempty"`
+	S    string         `json:"s,omitempty"`
+	Args map[string]any `json:"args,omitempty"`
 }
 
 // TraceDoc is the top-level Chrome trace JSON object.

@@ -33,8 +33,8 @@ func Measure(cells []Cell, opts Options) (*Snapshot, error) {
 		return nil, fmt.Errorf("perfbench: empty suite")
 	}
 	snap := &Snapshot{
-		Schema:    SchemaVersion,
-		Suite:     SuiteVersion,
+		Schema: SchemaVersion,
+		Suite:  SuiteVersion,
 		//lint:ignore determinism snapshot timestamp for humans; never read back or compared
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Env:       captureEnv(opts.Count),

@@ -1,9 +1,13 @@
-// Package retry holds the backoff schedule shared by the repository's
-// retrying clients: the experiment-service client (internal/serve) and the
-// fabric coordinator's dispatch loop (internal/fabric).
+// Package retry holds the backoff schedule and the Retry-After rule shared
+// by the repository's retrying clients: the experiment-service client
+// (internal/serve) and the fabric coordinator's dispatch loop
+// (internal/fabric).
 package retry
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // DefaultCap bounds a backoff when the caller sets no cap of its own.
 const DefaultCap = 10 * time.Second
@@ -23,4 +27,27 @@ func Ceiling(base, limit time.Duration, attempt int) time.Duration {
 		return base << shift
 	}
 	return limit
+}
+
+// Advised returns the wait before a retry: a server's positive Retry-After
+// advice overrides the computed delay, clamped to limit, so a peer cannot
+// park a retry past the cap; without advice the computed delay stands.
+func Advised(computed, advice, limit time.Duration) time.Duration {
+	if advice > 0 {
+		return min(advice, limit)
+	}
+	return computed
+}
+
+// Seconds converts a Retry-After advice in seconds to a duration. It clamps
+// the seconds before converting, so advice too long for a time.Duration
+// saturates instead of overflowing. Non-positive or NaN advice is 0: none.
+func Seconds(sec float64) time.Duration {
+	if !(sec > 0) {
+		return 0
+	}
+	if ns := sec * float64(time.Second); ns < math.MaxInt64 {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
 }

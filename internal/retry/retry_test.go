@@ -35,3 +35,42 @@ func TestCeilingWithoutBaseIsZero(t *testing.T) {
 		}
 	}
 }
+
+// TestAdvisedClampsEveryAdvice: Retry-After advice of 0, 1 s, 1 h and 1e12 s,
+// converted from seconds and applied over any computed delay, is never
+// negative and never above the cap; positive advice overrides the computed
+// delay, and no advice leaves it.
+func TestAdvisedClampsEveryAdvice(t *testing.T) {
+	for _, sec := range []float64{0, 1, 3600, 1e12, -5, math.NaN(), math.Inf(1)} {
+		for _, limit := range []time.Duration{time.Millisecond, DefaultCap, time.Hour, math.MaxInt64} {
+			for _, computed := range []time.Duration{0, limit / 3, limit} { // drawn below the cap
+				advice := Seconds(sec)
+				got := Advised(computed, advice, limit)
+				if got < 0 || got > limit {
+					t.Fatalf("advice %gs, cap %v, computed %v: delay %v outside [0, %v]", sec, limit, computed, got, limit)
+				}
+				want := computed
+				if sec > 0 {
+					want = min(advice, limit)
+				}
+				if got != want {
+					t.Fatalf("advice %gs, cap %v, computed %v: delay %v, want %v", sec, limit, computed, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestSecondsSaturates(t *testing.T) {
+	for _, c := range []struct {
+		sec  float64
+		want time.Duration
+	}{
+		{0, 0}, {-1, 0}, {math.NaN(), 0}, {1, time.Second}, {0.25, 250 * time.Millisecond},
+		{3600, time.Hour}, {1e12, math.MaxInt64}, {math.Inf(1), math.MaxInt64},
+	} {
+		if got := Seconds(c.sec); got != c.want {
+			t.Errorf("Seconds(%g) = %v, want %v", c.sec, got, c.want)
+		}
+	}
+}

@@ -159,12 +159,12 @@ func (c *Client) do(ctx context.Context, body []byte, id string) (*RunResponse, 
 		}
 		// Prefer the header (integral seconds) and fall back to the body.
 		if ra := hresp.Header.Get("Retry-After"); ra != "" {
-			if sec, perr := strconv.Atoi(ra); perr == nil && sec > 0 {
-				apiErr.RetryAfter = time.Duration(sec) * time.Second
+			if sec, perr := strconv.Atoi(ra); perr == nil {
+				apiErr.RetryAfter = retry.Seconds(float64(sec))
 			}
 		}
-		if apiErr.RetryAfter == 0 && er.RetryAfterSec > 0 {
-			apiErr.RetryAfter = time.Duration(er.RetryAfterSec * float64(time.Second))
+		if apiErr.RetryAfter == 0 {
+			apiErr.RetryAfter = retry.Seconds(er.RetryAfterSec)
 		}
 		return nil, apiErr
 	}
@@ -197,7 +197,8 @@ func (c *Client) backoff(attempt int, last error) time.Duration {
 	}
 	var apiErr *APIError
 	if errors.As(last, &apiErr) && apiErr.RetryAfter > 0 {
-		return min(apiErr.RetryAfter, maxB)
+		// The advice overrides the schedule, so no jitter is drawn.
+		return retry.Advised(0, apiErr.RetryAfter, maxB)
 	}
 	base := c.BaseBackoff
 	if base <= 0 {

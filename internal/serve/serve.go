@@ -93,7 +93,7 @@ type Server struct {
 	draining bool
 	startAt  time.Time
 
-	inflight sync.WaitGroup
+	inflight InFlight
 	// force is canceled when a drain deadline expires: every in-flight
 	// request's context hangs off it, so a stuck drain degrades to
 	// abandoning waits (partial results) rather than hanging shutdown.
@@ -195,19 +195,11 @@ func (s *Server) Drain(ctx context.Context) bool {
 	s.draining = true
 	s.mu.Unlock()
 
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	clean := true
-	select {
-	case <-done:
-	case <-ctx.Done():
-		clean = false
+	clean := s.inflight.Drain(ctx)
+	if !clean {
 		s.forceStop() // abandon in-flight waits; handlers return partials
-		<-done
 	}
+	s.inflight.Wait()
 	s.mem.Stop()
 	s.mu.Lock()
 	s.healthy = false
@@ -367,7 +359,7 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 	if !s.isReady() {
 		return fail(http.StatusServiceUnavailable, CodeDraining, "server is draining", 0)
 	}
-	s.inflight.Add(1)
+	s.inflight.Add()
 	defer s.inflight.Done()
 
 	var req RunRequest

@@ -191,9 +191,15 @@ func (m *Machine) Restore(img *WarmImage) error {
 		c.stL1 = ci.stL1.Clone()
 		c.stL2 = ci.stL2.Clone()
 	}
+	s.replay(img.log)
+	return nil
+}
+
+// replay feeds a recorded call log to the system's translator.
+func (s *System) replay(log []byte) {
 	hinter, _ := s.Trans.(walkHinter)
 	var line uint64
-	for log := img.log; len(log) > 0; {
+	for len(log) > 0 {
 		v, n := binary.Uvarint(log)
 		log = log[n:]
 		zz := v >> 2
@@ -209,5 +215,4 @@ func (m *Machine) Restore(img *WarmImage) error {
 			}
 		}
 	}
-	return nil
 }

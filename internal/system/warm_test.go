@@ -2,6 +2,7 @@ package system
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -157,7 +158,7 @@ func TestRestoredWarmupIsExact(t *testing.T) {
 			t.Fatalf("huge=%v: recording cell diverged from live RunE", huge)
 		}
 		// The image stays live while the group restores, so its size is
-		// peak memory: about 2 bytes a cache way plus the call log.
+		// peak memory: 4 bytes a cache way plus the call log.
 		if n := img.Bytes(); n <= 0 || n > 1<<20 {
 			t.Fatalf("huge=%v: image is %d bytes, want compact (at most 1 MiB)", huge, n)
 		}
@@ -206,5 +207,46 @@ func TestRestoreRejectsForeignImage(t *testing.T) {
 	}
 	if err := m.Restore(img); err == nil {
 		t.Fatal("restored an image recorded under another seed")
+	}
+}
+
+// TestReplayAllocations bounds the host allocations of replaying a recorded
+// warm log into TMCC and DyLeCT translators. Functional CTE fetches and
+// expansions finish inline without closures or in-flight marks, so what
+// remains is each chunk frame's resident list, allocated on first use.
+func TestReplayAllocations(t *testing.T) {
+	for _, name := range []string{"omnetpp", "canneal"} {
+		w, _ := trace.ByName(name)
+		base := Options{
+			Workload: w, HugePages: true, ScaleDivisor: 32, FootprintFloor: 96 << 20,
+			WarmupAccesses: 20_000, Window: engine.Microsecond, Design: DesignNoComp, Setting: SettingNone,
+		}
+		_, img := record(t, base)
+		calls := 0
+		for _, b := range img.log {
+			if b < 0x80 { // the last byte of each varint
+				calls++
+			}
+		}
+		for _, c := range []struct {
+			d Design
+			s Setting
+		}{{DesignTMCC, SettingHigh}, {DesignDyLeCT, SettingHigh}, {DesignDyLeCT, SettingLow}} {
+			o := base
+			o.Design, o.Setting = c.d, c.s
+			m, err := Build(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.s.replay(img.log)
+			runtime.ReadMemStats(&after)
+			perCall := float64(after.Mallocs-before.Mallocs) / float64(calls)
+			t.Logf("%s %s/%s: %d calls, %.4f mallocs per call", name, c.d, c.s, calls, perCall)
+			if perCall > 0.05 {
+				t.Errorf("%s %s/%s: replay made %.3f mallocs per logged call, want at most 0.05", name, c.d, c.s, perCall)
+			}
+		}
 	}
 }

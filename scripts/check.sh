@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the full local gate, identical to CI (.github/workflows/ci.yml).
 #
+#   fmt      gofmt -l over every Go file in the repo: any file gofmt would
+#            reformat fails the step
 #   build    go build ./...
 #   vet      go vet ./...
 #   lint     go run ./cmd/dylect-lint ./...   (the repo's own analyzers)
@@ -15,7 +17,9 @@
 #            shared-warmup concurrency tests (many cells restoring one
 #            image, a recorder panicking with waiters queued, a cancel while
 #            waiting, the live fallback when every image slot is taken,
-#            recordings side by side at jobs 8) at -count=20, then the
+#            recordings side by side at jobs 8) at -count=20, the fabric
+#            failure paths (a hedged straggler, orphan re-dispatch, a
+#            verify failure re-dispatched) at -count=20, then the
 #            pre-canceled CLI drain report at -count=200, which must be
 #            byte-stable
 #   golden   re-run the golden-run regression corpus (invariant audits on)
@@ -66,13 +70,13 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)
+[ ${#steps[@]} -eq 0 ] && steps=(fmt build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)
 
 for s in "${steps[@]}"; do
 	case "$s" in
-	build | vet | lint | contracts | race | stress | golden | faults | obs | serve | store | fabric | fuzz | bench) ;;
+	fmt | build | vet | lint | contracts | race | stress | golden | faults | obs | serve | store | fabric | fuzz | bench) ;;
 	*)
-		echo "unknown step '$s' (want: build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)" >&2
+		echo "unknown step '$s' (want: fmt build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)" >&2
 		exit 2
 		;;
 	esac
@@ -83,6 +87,16 @@ want() {
 	for s in "${steps[@]}"; do [ "$s" = "$1" ] && return 0; done
 	return 1
 }
+
+if want fmt; then
+	echo "== gofmt -l"
+	unformatted="$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)"
+	if [ -n "$unformatted" ]; then
+		echo "gofmt would reformat:" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
+fi
 
 if want build; then
 	echo "== go build ./..."
@@ -122,10 +136,13 @@ if want race; then
 fi
 
 if want stress; then
-	echo "== stress: harness failure paths under -race -count=20"
+	echo "== stress: harness and fabric failure paths under -race -count=20"
 	go test -race -count=20 -run \
 		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive)|TestWaitSettled' \
 		./internal/harness
+	go test -race -count=20 -run \
+		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch' \
+		./internal/fabric
 	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
 fi
 
