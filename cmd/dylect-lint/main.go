@@ -1,6 +1,9 @@
 // Command dylect-lint runs the repository's domain-specific static-analysis
-// suite (internal/analysis) over the module: determinism, time-unit
-// hygiene, scheduling hazards, stats integrity, and enum exhaustiveness.
+// suite (internal/analysis) over the module: time-unit hygiene, scheduling
+// hazards, stats integrity, enum exhaustiveness, serving-layer context
+// flow, and the interprocedural contracts — observation purity, hot-path
+// allocation-freedom, and determinism over everything the simulation,
+// rendering and export entry points reach (detflow).
 //
 // Usage:
 //

@@ -28,12 +28,12 @@ func TestSelectAnalyzersDefaultAll(t *testing.T) {
 }
 
 func TestSelectAnalyzersEnable(t *testing.T) {
-	as, err := selectAnalyzers("determinism, statcheck", "")
+	as, err := selectAnalyzers("timeunits, statcheck", "")
 	if err != nil {
 		t.Fatalf("selectAnalyzers: %v", err)
 	}
-	if got := names(as); got != "determinism,statcheck" {
-		t.Fatalf("want determinism,statcheck, got %q", got)
+	if got := names(as); got != "timeunits,statcheck" {
+		t.Fatalf("want timeunits,statcheck, got %q", got)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestSelectAnalyzersEmptySet(t *testing.T) {
 
 func sampleFindings() []analysis.Finding {
 	return []analysis.Finding{{
-		Analyzer: "determinism",
+		Analyzer: "detflow",
 		Position: token.Position{Filename: "a.go", Line: 3, Column: 7},
 		Message:  "call to time.Now",
 	}}
@@ -75,7 +75,7 @@ func TestWriteFindingsText(t *testing.T) {
 	if err := writeFindings(&b, sampleFindings(), false); err != nil {
 		t.Fatalf("writeFindings: %v", err)
 	}
-	want := "a.go:3:7: [determinism] call to time.Now\n"
+	want := "a.go:3:7: [detflow] call to time.Now\n"
 	if b.String() != want {
 		t.Fatalf("got %q, want %q", b.String(), want)
 	}
@@ -90,7 +90,7 @@ func TestWriteFindingsJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(b.String()), &decoded); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, b.String())
 	}
-	if len(decoded) != 1 || decoded[0].Analyzer != "determinism" || decoded[0].Position.Line != 3 {
+	if len(decoded) != 1 || decoded[0].Analyzer != "detflow" || decoded[0].Position.Line != 3 {
 		t.Fatalf("round-trip mismatch: %+v", decoded)
 	}
 }

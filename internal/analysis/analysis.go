@@ -60,7 +60,6 @@ func (f Finding) String() string {
 // All returns every analyzer in the suite, in stable order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		Determinism(),
 		TimeUnits(),
 		Schedule(),
 		StatCheck(),

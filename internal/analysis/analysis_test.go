@@ -137,13 +137,15 @@ func TestIgnoreSuppression(t *testing.T) {
 
 import "time"
 
+func Simulate() { standalone(); trailing(); unsuppressed(); wrongAnalyzer() }
+
 func standalone() int64 {
-	//lint:ignore determinism fixture exercises standalone suppression
+	//lint:ignore detflow fixture exercises standalone suppression
 	return time.Now().Unix()
 }
 
 func trailing() int64 {
-	return time.Now().Unix() //lint:ignore determinism fixture exercises trailing suppression
+	return time.Now().Unix() //lint:ignore detflow fixture exercises trailing suppression
 }
 
 func unsuppressed() int64 {
@@ -155,8 +157,8 @@ func wrongAnalyzer() int64 {
 	return time.Now().Unix()
 }
 `
-	prog := loadFixture(t, src)
-	findings := runOn(t, prog, Determinism())
+	prog := loadFixture(t, src, systemPkg("\tsut.Simulate()"))
+	findings := runOn(t, prog, DetFlow())
 	if len(findings) != 2 {
 		t.Fatalf("want 2 findings (unsuppressed + wrongAnalyzer), got %d: %v", len(findings), findings)
 	}
@@ -165,11 +167,11 @@ func wrongAnalyzer() int64 {
 func TestIgnoreMalformed(t *testing.T) {
 	src := `package sut
 
-//lint:ignore determinism
+//lint:ignore detflow
 func f() {}
 `
 	prog := loadFixture(t, src)
-	findings := runOn(t, prog, Determinism())
+	findings := runOn(t, prog, DetFlow())
 	wantFinding(t, findings, "malformed")
 	if findings[0].Analyzer != "lint" {
 		t.Errorf("malformed directive attributed to %q, want lint", findings[0].Analyzer)
@@ -181,10 +183,12 @@ func TestIgnoreAll(t *testing.T) {
 
 import "time"
 
+func Simulate() { f() }
+
 func f() int64 {
 	//lint:ignore all fixture exercises the all wildcard
 	return time.Now().Unix()
 }
 `
-	wantClean(t, runOn(t, loadFixture(t, src), Determinism()))
+	wantClean(t, runOn(t, loadFixture(t, src, systemPkg("\tsut.Simulate()")), DetFlow()))
 }

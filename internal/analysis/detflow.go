@@ -1,27 +1,34 @@
 package analysis
 
-// DetFlow is the interprocedural upgrade of the lexical determinism
-// analyzer: non-deterministic constructs are forbidden anywhere *reachable
-// from* the simulation and export entry points, not just lexically inside
-// internal/ files. Roots are
+// DetFlow enforces bit-reproducible simulation interprocedurally:
+// non-deterministic constructs are forbidden anywhere *reachable from* the
+// simulation and export entry points. Roots are
 //
 //   - system.Run / system.RunE (one simulated cell, end to end), plus the
 //     shared-warmup phases Machine.WarmupRecorded and Machine.Restore, which
 //     the harness sequences in place of RunE's live warmup;
+//   - harness.Experiments, whose renderers turn cell results into tables;
 //   - the Export* surface of internal/harness (byte-identical artifacts
-//     are the repo's determinism oracle).
+//     are the repo's determinism oracle);
+//   - the cell payload codec: harness's encodeCellPayload and
+//     cellstore.EncodeEnvelope, whose bytes the store and the fabric
+//     checksum and compare.
 //
 // Forbidden in the reachable zone: time.Now/time.Since (wall clock),
 // global math/rand (process-global source; seeded constructors are fine),
 // goroutine spawns (scheduling order leaks into event order), and
-// map-range loops feeding ordered output (same check as the determinism
-// analyzer, but applied to everything the roots can reach).
+// map-range loops feeding ordered output. Map iteration order is
+// randomized per run; a range over a map whose body appends to a slice or
+// prints builds order-dependent state from order-undefined input. The
+// canonical safe pattern — collect keys, sort, then use — is recognized: a
+// range whose enclosing function sorts after the loop is not flagged.
 //
-// The quarantined profile-export path reads wall-clock durations by
-// design; it is excluded with a //dylect:nondet-ok <reason> doc directive,
-// which acts as a traversal barrier: the annotated function and everything
-// reachable only through it are exempt. The reason is mandatory — an
-// unexplained barrier is itself a finding.
+// A path that is scheduling or profiling by design — the runner's cell
+// executor, whose watchdog goroutine and wall-clock profile sit around the
+// simulation — is excluded with a //dylect:nondet-ok <reason> doc
+// directive, which acts as a traversal barrier: the annotated function and
+// everything reachable only through it are exempt. The reason is mandatory
+// — an unexplained barrier is itself a finding.
 //
 // DetFlow also enforces the telemetry isolation boundary: nothing in
 // internal/system or internal/engine may reach internal/telemetry. The
@@ -121,7 +128,8 @@ func telemetryIsolation(g *CallGraph, prog *Program) []Diagnostic {
 }
 
 // detRoots collects the deterministic-zone entry points: system.Run/RunE,
-// the shared-warmup phases, and the harness Export* surface.
+// the shared-warmup phases, the experiment renderers, the harness Export*
+// surface, and the cell payload codec.
 func detRoots(g *CallGraph) []*Node {
 	var roots []*Node
 	for _, n := range g.Nodes {
@@ -133,7 +141,10 @@ func detRoots(g *CallGraph) []*Node {
 		case (name == "Run" || name == "RunE" || name == "WarmupRecorded" || name == "Restore") &&
 			fromPkg(n.Obj, "internal/system"):
 			roots = append(roots, n)
-		case strings.HasPrefix(name, "Export") && fromPkg(n.Obj, "internal/harness"):
+		case (strings.HasPrefix(name, "Export") || name == "Experiments" || name == "encodeCellPayload") &&
+			fromPkg(n.Obj, "internal/harness"):
+			roots = append(roots, n)
+		case name == "EncodeEnvelope" && fromPkg(n.Obj, "internal/cellstore"):
 			roots = append(roots, n)
 		}
 	}
@@ -182,9 +193,9 @@ func scanDetNode(n *Node) []Diagnostic {
 		}
 		return true
 	})
-	// Map-range checks reuse the determinism analyzer's sorted-after
-	// recognition, then drop hits inside nested literals (their own scan
-	// covers them when reachable).
+	// Map-range checks look for a sort after the loop in the whole body,
+	// then drop hits inside nested literals (their own scan covers them when
+	// reachable).
 	for _, d := range checkMapRanges(n.Pkg, n.Body()) {
 		inLit := false
 		for _, span := range litSpans {
@@ -199,4 +210,118 @@ func scanDetNode(n *Node) []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// globalRandAllowed lists math/rand top-level functions that do not touch
+// the global source: constructors for explicitly seeded generators.
+var globalRandAllowed = map[string]bool{
+	"New":       true,
+	"NewSource": true,
+	"NewZipf":   true,
+}
+
+// checkMapRanges flags map-range loops in body that append or print inside
+// the loop without a subsequent sort in the same function body.
+func checkMapRanges(pkg *Package, body *ast.BlockStmt) []Diagnostic {
+	type flagged struct {
+		pos token.Pos
+		end token.Pos
+		why string
+	}
+	var candidates []flagged
+	var sortCalls []token.Pos
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if obj := calleeOf(pkg.Info, n); obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sort" {
+				sortCalls = append(sortCalls, n.Pos())
+			}
+		case *ast.RangeStmt:
+			t := pkg.Info.TypeOf(n.X)
+			if t == nil {
+				return true
+			}
+			if _, isMap := t.Underlying().(*types.Map); !isMap {
+				return true
+			}
+			if why, bad := orderedSideEffect(pkg.Info, n); bad {
+				candidates = append(candidates, flagged{pos: n.Pos(), end: n.End(), why: why})
+			}
+		}
+		return true
+	})
+	var diags []Diagnostic
+	for _, c := range candidates {
+		sorted := false
+		for _, sp := range sortCalls {
+			if sp > c.end {
+				sorted = true
+				break
+			}
+		}
+		if sorted {
+			continue
+		}
+		diags = append(diags, Diagnostic{
+			Pos:     c.pos,
+			Message: fmt.Sprintf("range over map %s: map iteration order is randomized per run; sort the keys first or key the output", c.why),
+		})
+	}
+	return diags
+}
+
+// orderedSideEffect reports whether the loop body builds ordered state from
+// iteration order: appends to a slice declared outside the loop, or emits
+// output via fmt printers. Appending to a loop-local slice is order-safe —
+// each iteration rebuilds it from scratch.
+func orderedSideEffect(info *types.Info, loop *ast.RangeStmt) (string, bool) {
+	var why string
+	ast.Inspect(loop.Body, func(n ast.Node) bool {
+		if why != "" {
+			return false
+		}
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+			if b, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && b.Name() == "append" &&
+				len(call.Args) > 0 && !declaredWithin(info, call.Args[0], loop) {
+				why = "appends to a slice"
+				return false
+			}
+		}
+		if obj := calleeOf(info, call); obj != nil && obj.Pkg() != nil &&
+			obj.Pkg().Path() == "fmt" && isPrinter(obj.Name()) {
+			why = fmt.Sprintf("writes output via fmt.%s", obj.Name())
+			return false
+		}
+		return true
+	})
+	return why, why != ""
+}
+
+// declaredWithin reports whether e is an identifier whose object is
+// declared inside the loop (including its Key/Value), making per-iteration
+// state.
+func declaredWithin(info *types.Info, e ast.Expr, loop *ast.RangeStmt) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return false
+	}
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	return obj != nil && obj.Pos() >= loop.Pos() && obj.Pos() < loop.End()
+}
+
+// isPrinter reports fmt functions that emit to a stream (Sprint* builds a
+// value and is judged by what the caller does with it, so it is exempt).
+func isPrinter(name string) bool {
+	switch name {
+	case "Print", "Println", "Printf", "Fprint", "Fprintln", "Fprintf":
+		return true
+	}
+	return false
 }

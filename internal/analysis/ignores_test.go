@@ -10,18 +10,20 @@ func TestIgnoreUnknownAnalyzerName(t *testing.T) {
 
 import "time"
 
+func Simulate() { f() }
+
 func f() int64 {
-	//lint:ignore determinsim typo'd analyzer name
+	//lint:ignore detlfow typo'd analyzer name
 	return time.Now().Unix()
 }
 `
-	findings := runOn(t, loadFixture(t, src), Determinism())
+	findings := runOn(t, loadFixture(t, src, systemPkg("\tsut.Simulate()")), DetFlow())
 	if len(findings) != 2 {
 		t.Fatalf("want 2 findings (unknown name + unsuppressed time.Now), got %d: %v", len(findings), findings)
 	}
 	foundUnknown := false
 	for _, f := range findings {
-		if f.Analyzer == "lint" && strings.Contains(f.Message, `unknown analyzer "determinsim"`) {
+		if f.Analyzer == "lint" && strings.Contains(f.Message, `unknown analyzer "detlfow"`) {
 			foundUnknown = true
 		}
 	}
@@ -35,33 +37,35 @@ func TestAuditIgnoresLiveAndStale(t *testing.T) {
 
 import "time"
 
+func Simulate() { _ = live() + stale() }
+
 func live() int64 {
-	//lint:ignore determinism fixture: a live suppression
+	//lint:ignore detflow fixture: a live suppression
 	return time.Now().Unix()
 }
 
 func stale() int64 {
-	//lint:ignore determinism fixture: nothing fires here anymore
+	//lint:ignore detflow fixture: nothing fires here anymore
 	return 42
 }
 `
-	uses, findings := AuditIgnores(loadFixture(t, src))
+	uses, findings := AuditIgnores(loadFixture(t, src, systemPkg("\tsut.Simulate()")))
 	if len(uses) != 2 {
 		t.Fatalf("want 2 suppressions listed, got %d: %v", len(uses), uses)
 	}
 	if len(uses[0].Stale) != 0 {
 		t.Errorf("live suppression marked stale: %v", uses[0])
 	}
-	if len(uses[1].Stale) != 1 || uses[1].Stale[0] != "determinism" {
+	if len(uses[1].Stale) != 1 || uses[1].Stale[0] != "detflow" {
 		t.Errorf("stale suppression not marked: %v", uses[1])
 	}
-	wantFinding(t, findings, "stale //lint:ignore", `"determinism"`, "delete the suppression")
+	wantFinding(t, findings, "stale //lint:ignore", `"detflow"`, "delete the suppression")
 }
 
 func TestAuditIgnoresMalformedAndUnknown(t *testing.T) {
 	src := `package sut
 
-//lint:ignore determinism
+//lint:ignore detflow
 func a() {}
 
 func b() {
@@ -99,6 +103,8 @@ func TestAuditIgnoresAllWildcard(t *testing.T) {
 
 import "time"
 
+func Simulate() { _ = f(); g() }
+
 func f() int64 {
 	//lint:ignore all fixture: wildcard over a live finding
 	return time.Now().Unix()
@@ -109,7 +115,7 @@ func g() {
 	_ = 1
 }
 `
-	uses, findings := AuditIgnores(loadFixture(t, src))
+	uses, findings := AuditIgnores(loadFixture(t, src, systemPkg("\tsut.Simulate()")))
 	if len(uses) != 2 {
 		t.Fatalf("want 2 suppressions, got %v", uses)
 	}
@@ -126,7 +132,7 @@ func TestIgnoreUseString(t *testing.T) {
 	uses, _ := AuditIgnores(loadFixture(t, `package sut
 
 func f() {
-	//lint:ignore determinism some reason
+	//lint:ignore detflow some reason
 	_ = 1
 }
 `))
@@ -134,7 +140,7 @@ func f() {
 		t.Fatalf("want 1 use, got %v", uses)
 	}
 	s := uses[0].String()
-	for _, frag := range []string{"determinism", "some reason", "STALE"} {
+	for _, frag := range []string{"detflow", "some reason", "STALE"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("String() = %q, missing %q", s, frag)
 		}

@@ -2,7 +2,8 @@
 // simulator: the CPU's L1/L2/L3 data caches, the per-core page-walker
 // caches, and the memory controller's CTE cache (which stores 64B blocks
 // from the unified CTE table and — under DyLeCT — the pre-gathered table in
-// a single structure). It also provides the next-line (with automatic
+// a single structure). Its sets also serve the TLBs (internal/tlb), as a
+// cache with one-byte lines. It also provides the next-line (with automatic
 // enable/disable) and stride prefetchers from Table 3.
 package cache
 

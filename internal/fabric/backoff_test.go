@@ -9,16 +9,17 @@ import (
 )
 
 // TestDispatchBackoffBounded sweeps retry attempts 1-64 over extreme
-// -dispatch-backoff bases: drawing the delay never panics and never exceeds
-// the shared cap, where an uncapped RetryBackoff<<(attempt-1) overflows.
+// -dispatch-backoff bases: drawing the delay never panics, is positive, and
+// never exceeds the shared cap, where an uncapped RetryBackoff<<(attempt-1)
+// overflows.
 func TestDispatchBackoffBounded(t *testing.T) {
 	for _, base := range []time.Duration{1, time.Millisecond, 200 * time.Millisecond, time.Hour,
 		math.MaxInt64/2 + 1, math.MaxInt64} {
 		c := New(Config{RetryBackoff: base, Seed: 7})
 		for attempt := 1; attempt <= 64; attempt++ {
 			for draw := 0; draw < 4; draw++ {
-				if d := c.delay(attempt, nil); d < 0 || d > retry.DefaultCap {
-					t.Fatalf("base %v attempt %d: delay %v outside [0, %v]", base, attempt, d, retry.DefaultCap)
+				if d := c.delay(attempt, nil); d <= 0 || d > retry.DefaultCap {
+					t.Fatalf("base %v attempt %d: delay %v outside (0, %v]", base, attempt, d, retry.DefaultCap)
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net/http"
 	"sort"
 	"strconv"
@@ -45,8 +44,8 @@ type Config struct {
 	// failure is surfaced. Default 3.
 	Attempts int
 	// RetryBackoff is the base of the full-jitter exponential backoff
-	// between attempts; Retry-After from a worker raises (never lowers) the
-	// wait. Default 200ms.
+	// between attempts; a worker's Retry-After overrides the drawn wait,
+	// clamped to retry.DefaultCap. Default 200ms.
 	RetryBackoff time.Duration
 	// Heartbeat is the membership probe interval; DeadAfter consecutive
 	// probe failures remove a worker from the ring and orphan its in-flight
@@ -95,12 +94,13 @@ type Coordinator struct {
 	log   *slog.Logger
 	met   *Metrics
 	clock func() time.Time
+	// jitter draws the retry backoff; it keeps its own lock.
+	jitter *retry.Jitter
 
 	mu      sync.Mutex
 	workers map[string]*workerState
 	leases  map[int64]*lease
 	leaseID int64
-	rng     *rand.Rand
 	// window holds recent successful dispatch durations for the p95 hedge
 	// delay (newest last, bounded to latencyWindow entries).
 	window []time.Duration
@@ -154,7 +154,7 @@ func New(cfg Config) *Coordinator {
 		clock:   time.Now,
 		workers: make(map[string]*workerState),
 		leases:  make(map[int64]*lease),
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		jitter:  retry.NewJitter(cfg.Seed),
 		stop:    make(chan struct{}),
 	}
 	for _, w := range cfg.Workers {
@@ -380,7 +380,7 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 	var last error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
-			if err := c.backoff(ctx, attempt, last); err != nil {
+			if err := retry.Sleep(ctx, c.delay(attempt, last)); err != nil {
 				return nil, err
 			}
 		}
@@ -415,37 +415,17 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 	return nil, fmt.Errorf("fabric: cell %s: %d dispatch attempts failed: %w", cellKey, c.cfg.Attempts, last)
 }
 
-// delay draws the jittered exponential delay before a retry, uniform in
-// [0, ceiling] under the shared retry.Ceiling schedule. A worker's
-// Retry-After advice overrides it, clamped to the same cap, so a worker
-// cannot park a cell past the cap or fail it against a deadline the next
-// replica could meet.
+// delay is the wait before a retry: full jitter under the shared
+// retry.Ceiling schedule, or a worker's Retry-After advice clamped to the
+// same cap, so a worker cannot park a cell past the cap or fail it against a
+// deadline the next replica could meet.
 func (c *Coordinator) delay(attempt int, last error) time.Duration {
-	ceil := retry.Ceiling(c.cfg.RetryBackoff, retry.DefaultCap, attempt)
-	c.mu.Lock()
-	d := time.Duration(c.rng.Int63n(int64(ceil) + 1))
-	c.mu.Unlock()
+	var advice time.Duration
 	var de *DispatchError
 	if errors.As(last, &de) {
-		d = retry.Advised(d, de.RetryAfter, retry.DefaultCap)
+		advice = de.RetryAfter
 	}
-	return d
-}
-
-// backoff sleeps the retry delay, never past ctx.
-func (c *Coordinator) backoff(ctx context.Context, attempt int, last error) error {
-	d := c.delay(attempt, last)
-	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
-		return fmt.Errorf("fabric: retry backoff %v would outlive the deadline: %w", d, context.DeadlineExceeded)
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return c.jitter.Delay(c.cfg.RetryBackoff, retry.DefaultCap, attempt, advice)
 }
 
 // hedgeDelay derives the straggler threshold: the p95 of the recent
@@ -695,6 +675,3 @@ func (c *Coordinator) releaseLease(id int64) {
 
 // RingSize reports live ring membership (tests and stats).
 func (c *Coordinator) RingSize() int { return c.ring.Size() }
-
-// RingMembers reports the live member list, sorted.
-func (c *Coordinator) RingMembers() []string { return c.ring.Members() }

@@ -95,18 +95,6 @@ func (r *Ring) Remove(member string) {
 	r.points = kept
 }
 
-// Members returns the member set, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Size returns the member count.
 func (r *Ring) Size() int {
 	r.mu.RLock()

@@ -236,10 +236,6 @@ func (c *Checkpoint) AdoptPayload(key runKey, payload []byte) error {
 	return nil
 }
 
-// ConfigHashKey returns the config hash scoping this checkpoint's store
-// keys; PayloadKey(ConfigHashKey(), spec) names the record a cell lands in.
-func (c *Checkpoint) ConfigHashKey() string { return c.cfgHash }
-
 // ReverifyCell re-reads a cell's store record through the full verification
 // path, quarantining it (via the store's own machinery) if it is damaged. It
 // reports whether a verified record remains. The fabric's coordinator calls

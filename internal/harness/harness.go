@@ -208,18 +208,12 @@ type runnerState struct {
 	// the watchdogged goroutine); a non-nil error fails the attempt. It
 	// exists for fault injection (internal/faults.CellInjector).
 	cellHook func(cellKey string) error
-	// cellObserver, when set, is called once per settled cell with the
-	// cell's key and final error (nil on success), after the outcome is
-	// recorded but before waiters are released. The serving layer feeds
-	// its circuit breaker from it. It must not call back into the Runner's
-	// cell path (Result/get); cache-surgery methods like EvictFailed are
-	// safe.
-	cellObserver func(cellKey string, err error)
 	// cellTelemetry, when set, is called once per settled cell with the
 	// full settlement record (key, wall time, store-vs-fresh provenance,
-	// final error), right after cellObserver. The serving layer feeds its
-	// /metrics instruments from it. Same contract as cellObserver: it must
-	// not re-enter the runner's cell path.
+	// final error), after the outcome is recorded but before waiters are
+	// released. The serving layer feeds its circuit breaker and /metrics
+	// instruments from it. It must not call back into the Runner's cell
+	// path (Result/get); cache-surgery methods like EvictFailed are safe.
 	cellTelemetry func(CellSettlement)
 	// evictFailed, when true, removes failed cells from the cache once
 	// they settle so a later request re-attempts them. The batch CLI keeps
@@ -341,16 +335,7 @@ func (r *Runner) SetCellHook(h func(cellKey string) error) {
 	r.mu.Unlock()
 }
 
-// SetCellObserver installs an observer called once per settled cell with
-// the cell's key and final error (nil on success), before waiters are
-// released. The observer must not re-enter the runner's cell path.
-func (r *Runner) SetCellObserver(obs func(cellKey string, err error)) {
-	r.mu.Lock()
-	r.cellObserver = obs
-	r.mu.Unlock()
-}
-
-// CellSettlement describes one settled cell to the telemetry hook: the
+// CellSettlement describes one settled cell to the settlement hook: the
 // cell's key, how long settling it took (wall clock — profiling data, never
 // exported deterministically), whether the result was restored from the
 // durable store rather than simulated, whether it was executed remotely by
@@ -363,10 +348,11 @@ type CellSettlement struct {
 	Err       error
 }
 
-// SetCellTelemetry installs a telemetry hook called once per settled cell,
-// after the cell observer. The hook must be fast and must not re-enter the
-// runner's cell path; it exists so the serving layer can count cells and
-// time distributions without a second bookkeeping path in the runner.
+// SetCellTelemetry installs the settlement hook, called once per settled
+// cell before waiters are released. The hook must be fast and must not
+// re-enter the runner's cell path; it is the runner's one per-cell
+// settlement stream, from which the serving layer feeds its breaker and its
+// metrics.
 func (r *Runner) SetCellTelemetry(fn func(CellSettlement)) {
 	r.mu.Lock()
 	r.cellTelemetry = fn
@@ -528,19 +514,20 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 // captured (with stack) so a failing cell reports its key instead of
 // crashing the process. ctx is the starter's context: it gates the start,
 // the retry backoff, and (with the watchdog) attempt abandonment.
+//
+//dylect:nondet-ok the watchdog goroutine and the wall-clock profile are scheduling, not simulation; the cell itself is reached from system.RunE and the warmup roots
 func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	defer close(f.done)
 	defer r.noteSettled()
 	// Wall time and peak RSS are profiling data, kept strictly outside the
 	// deterministic exports (ExportJSON never reads them).
-	//lint:ignore determinism per-cell wall-clock profiling, never feeds simulated state or deterministic exports
 	start := time.Now()
 	fromStore := false
 	viaRemote := false
 	// Settlement bookkeeping: record the profiling row, drop the cell's warm
 	// lease, evict canceled (and, in service mode, failed) cells so a later
-	// request re-attempts them, and notify the observers. One defer, not
-	// several: the profile must be finalized before the observers run, the
+	// request re-attempts them, and notify the settlement hook. One defer,
+	// not several: the profile must be finalized before the hook runs, the
 	// lease must go before the eviction lets a new flight of the key start,
 	// and stacked defers would execute in the wrong (LIFO) order. Runs after
 	// the recover below finalizes f.err, before waiters wake.
@@ -555,12 +542,8 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		if evict && r.cache[key] == f {
 			delete(r.cache, key)
 		}
-		obs := r.cellObserver
 		tel := r.cellTelemetry
 		r.mu.Unlock()
-		if obs != nil {
-			obs(key.String(), f.err)
-		}
 		if tel != nil {
 			tel(CellSettlement{
 				Key:       key.String(),

@@ -98,35 +98,7 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 	r.onProgress = opts.Progress
 	r.mu.Unlock()
 
-	// Warm every planned cell, grouped by warm key (warmshare.go). Cells an
-	// experiment needs beyond the plan (a planning miss) are still simulated
-	// lazily and merely lose overlap. Errors surface through the experiments
-	// that need the cell.
-	warmed := r.startPlan(plan)
-
-	outs := make([]ExperimentOutput, len(exps))
-	var wg sync.WaitGroup
-	for i, e := range exps {
-		outs[i].Experiment = e
-		wg.Add(1)
-		go func(i int, e Experiment) {
-			defer wg.Done()
-			defer func() {
-				p := recover()
-				if p == nil {
-					return
-				}
-				if ce, ok := p.(cellError); ok {
-					outs[i].Err = fmt.Errorf("experiment %s: %w", e.Name, ce.err)
-					return
-				}
-				outs[i].Err = fmt.Errorf("experiment %s: panic: %v", e.Name, p)
-			}()
-			outs[i].Blocks = e.Run(r)
-		}(i, e)
-	}
-	wg.Wait()
-	warmed()
+	outs := runPlan(r, plan, exps)
 
 	r.mu.Lock()
 	r.onProgress = nil
@@ -166,7 +138,7 @@ type PlannedCell struct {
 	Design   string
 	Setting  string
 	// Cell is the human-readable cell key (runKey.String form) — the same
-	// string cell errors, the cell hook, and the cell observer carry.
+	// string cell errors, the cell hook, and the settlement hook carry.
 	Cell string
 }
 
@@ -223,10 +195,18 @@ func (r *Runner) FreshCost(exps []Experiment) int {
 // the given order; per-experiment failures are reported in the outputs, not
 // joined into a process-level error.
 func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
-	// Warm every planned cell through the shared single-flight cache so a
-	// request's cells overlap regardless of experiment structure.
-	warmed := r.startPlan(planCells(r.Cfg, exps))
+	return runPlan(r, planCells(r.Cfg, exps), exps)
+}
 
+// runPlan runs the experiments concurrently over their plan and returns
+// their outputs in the given order. It first starts every planned cell,
+// grouped by warm key (warmshare.go), through the single-flight cache, so
+// cells overlap regardless of experiment structure; cells an experiment
+// needs beyond the plan (a planning miss) are still simulated lazily and
+// merely lose overlap. A failed cell or a panic fails only the experiments
+// it reaches, reported in their outputs.
+func runPlan(r *Runner, plan []runKey, exps []Experiment) []ExperimentOutput {
+	warmed := r.startPlan(plan)
 	outs := make([]ExperimentOutput, len(exps))
 	var wg sync.WaitGroup
 	for i, e := range exps {

@@ -66,9 +66,6 @@ func (r *Report) Addf(check string, unit, frame int64, format string, args ...in
 	})
 }
 
-// Ok reports whether the audit found no violations.
-func (r *Report) Ok() bool { return len(r.Violations) == 0 }
-
 // Auditable is implemented by translators whose internal state can be
 // audited (all designs built on mc.Base). The walk must be read-only: it
 // runs inside timed simulation windows and must not perturb results.

@@ -49,15 +49,4 @@ func (n *NoComp) Warm(addr uint64, write bool) { n.s.Requests.Inc() }
 // Stats implements Translator.
 func (n *NoComp) Stats() *Stats { return &n.s }
 
-// WalkAccess performs a page-walker memory reference (used by the system
-// model for all translators; walker references address the page-table
-// region which is never compressed).
-func WalkAccess(eng *engine.Engine, d *dram.Controller, addr uint64, done func()) {
-	d.Submit(&dram.Request{Addr: addr, Class: dram.ClassWalk, Done: func(engine.Time) {
-		if done != nil {
-			done()
-		}
-	}})
-}
-
 var _ Translator = (*NoComp)(nil)

@@ -33,9 +33,8 @@ func Measure(cells []Cell, opts Options) (*Snapshot, error) {
 		return nil, fmt.Errorf("perfbench: empty suite")
 	}
 	snap := &Snapshot{
-		Schema: SchemaVersion,
-		Suite:  SuiteVersion,
-		//lint:ignore determinism snapshot timestamp for humans; never read back or compared
+		Schema:    SchemaVersion,
+		Suite:     SuiteVersion,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Env:       captureEnv(opts.Count),
 	}
@@ -88,7 +87,6 @@ func measureCell(c Cell, count int) (CellResult, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		mallocs, bytes := ms.Mallocs, ms.TotalAlloc
-		//lint:ignore determinism wall-clock measurement is perfbench's purpose; it never feeds simulated state
 		start := time.Now()
 		r, err := system.RunE(opts)
 		wall := time.Since(start).Nanoseconds()

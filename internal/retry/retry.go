@@ -1,11 +1,15 @@
-// Package retry holds the backoff schedule and the Retry-After rule shared
-// by the repository's retrying clients: the experiment-service client
-// (internal/serve) and the fabric coordinator's dispatch loop
-// (internal/fabric).
+// Package retry is the one retry policy of the repository's retrying
+// clients, the experiment-service client (internal/serve) and the fabric
+// coordinator's dispatch loop (internal/fabric): the backoff schedule, its
+// jitter draw, the Retry-After rule and the deadline-aware sleep.
 package retry
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -16,7 +20,7 @@ const DefaultCap = 10 * time.Second
 // attempt (1 or more): base doubled once per earlier retry, capped at limit,
 // which must be positive. It cannot overflow: any base or attempt count that
 // would pass the cap returns the cap. A non-positive base means no backoff
-// and returns 0. Callers draw their jittered delay below the ceiling.
+// and returns 0. Jitter.Delay draws the wait below the ceiling.
 func Ceiling(base, limit time.Duration, attempt int) time.Duration {
 	if base <= 0 {
 		return 0
@@ -29,14 +33,57 @@ func Ceiling(base, limit time.Duration, attempt int) time.Duration {
 	return limit
 }
 
-// Advised returns the wait before a retry: a server's positive Retry-After
-// advice overrides the computed delay, clamped to limit, so a peer cannot
-// park a retry past the cap; without advice the computed delay stands.
-func Advised(computed, advice, limit time.Duration) time.Duration {
+// Jitter draws backoff delays from a seeded source, so tests reproduce
+// their schedules. It is safe for concurrent use.
+type Jitter struct {
+	mu  sync.Mutex
+	rng *rand.Rand
+}
+
+// NewJitter returns a jitter source seeded from seed.
+func NewJitter(seed int64) *Jitter {
+	return &Jitter{rng: rand.New(rand.NewSource(seed))}
+}
+
+// Delay returns the wait before the given retry attempt (1 or more) under a
+// cap of limit, or DefaultCap when limit is not positive. A peer's positive
+// Retry-After advice overrides the draw, clamped to the cap, so no peer can
+// park a retry past it. Otherwise the wait is full jitter: uniform in
+// (0, Ceiling(base, limit, attempt)], which decorrelates callers rejected
+// together so they do not return together. A non-positive base means no
+// wait.
+func (j *Jitter) Delay(base, limit time.Duration, attempt int, advice time.Duration) time.Duration {
+	if limit <= 0 {
+		limit = DefaultCap
+	}
 	if advice > 0 {
 		return min(advice, limit)
 	}
-	return computed
+	ceil := Ceiling(base, limit, attempt)
+	if ceil <= 0 {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return time.Duration(j.rng.Int63n(int64(ceil))) + 1
+}
+
+// Sleep waits d, or until ctx is done, when it returns ctx.Err(). A wait
+// that would outlive ctx's deadline is a guaranteed failure, so Sleep
+// returns context.DeadlineExceeded at once instead of sleeping through the
+// remaining budget first.
+func Sleep(ctx context.Context, d time.Duration) error {
+	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
+		return fmt.Errorf("retry: %v backoff would outlive the deadline: %w", d, context.DeadlineExceeded)
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // Seconds converts a Retry-After advice in seconds to a duration. It clamps

@@ -1,6 +1,8 @@
 package retry
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -36,28 +38,101 @@ func TestCeilingWithoutBaseIsZero(t *testing.T) {
 	}
 }
 
-// TestAdvisedClampsEveryAdvice: Retry-After advice of 0, 1 s, 1 h and 1e12 s,
-// converted from seconds and applied over any computed delay, is never
-// negative and never above the cap; positive advice overrides the computed
-// delay, and no advice leaves it.
-func TestAdvisedClampsEveryAdvice(t *testing.T) {
-	for _, sec := range []float64{0, 1, 3600, 1e12, -5, math.NaN(), math.Inf(1)} {
-		for _, limit := range []time.Duration{time.Millisecond, DefaultCap, time.Hour, math.MaxInt64} {
-			for _, computed := range []time.Duration{0, limit / 3, limit} { // drawn below the cap
-				advice := Seconds(sec)
-				got := Advised(computed, advice, limit)
-				if got < 0 || got > limit {
-					t.Fatalf("advice %gs, cap %v, computed %v: delay %v outside [0, %v]", sec, limit, computed, got, limit)
+// TestDelayBounded sweeps attempts 1-64 over extreme bases and caps: with
+// no advice the drawn delay is always in (0, ceiling], a cap of 0 means
+// DefaultCap, and a non-positive base means no wait.
+func TestDelayBounded(t *testing.T) {
+	j := NewJitter(7)
+	for _, base := range []time.Duration{-1, 0, 1, time.Millisecond, time.Hour, math.MaxInt64/2 + 1, math.MaxInt64} {
+		for _, limit := range []time.Duration{0, 1, time.Millisecond, time.Second, math.MaxInt64} {
+			capped := limit
+			if capped <= 0 {
+				capped = DefaultCap
+			}
+			for attempt := 1; attempt <= 64; attempt++ {
+				ceil := Ceiling(base, capped, attempt)
+				got := j.Delay(base, limit, attempt, 0)
+				if base <= 0 {
+					if got != 0 {
+						t.Fatalf("base %v cap %v attempt %d: delay %v, want 0", base, limit, attempt, got)
+					}
+					continue
 				}
-				want := computed
-				if sec > 0 {
-					want = min(advice, limit)
-				}
-				if got != want {
-					t.Fatalf("advice %gs, cap %v, computed %v: delay %v, want %v", sec, limit, computed, got, want)
+				if got <= 0 || got > ceil {
+					t.Fatalf("base %v cap %v attempt %d: delay %v outside (0, %v]", base, limit, attempt, got, ceil)
 				}
 			}
 		}
+	}
+}
+
+// TestAdvisedClampsEveryAdvice: Retry-After advice of 0, 1 s, 1 h and 1e12 s,
+// NaN or negative, converted from seconds, is never negative and never above
+// the cap. Positive advice overrides the draw; other advice is ignored and
+// the draw stands.
+func TestAdvisedClampsEveryAdvice(t *testing.T) {
+	for _, sec := range []float64{0, 1, 3600, 1e12, -5, math.NaN(), math.Inf(1)} {
+		for _, limit := range []time.Duration{time.Millisecond, DefaultCap, time.Hour, math.MaxInt64} {
+			for _, base := range []time.Duration{1, limit / 3, limit} {
+				advice := Seconds(sec)
+				got := NewJitter(7).Delay(base, limit, 2, advice)
+				want := NewJitter(7).Delay(base, limit, 2, 0) // the draw
+				if sec > 0 {
+					want = min(advice, limit)
+				}
+				if got != want || got <= 0 || got > limit {
+					t.Fatalf("advice %gs, cap %v, base %v: delay %v, want %v in (0, %v]", sec, limit, base, got, want, limit)
+				}
+			}
+		}
+	}
+}
+
+// TestSleep: a wait that would outlive the deadline returns
+// DeadlineExceeded at once, a canceled context returns its error, and a
+// wait that fits is slept in full.
+func TestSleep(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name      string
+		ctx       func() (context.Context, context.CancelFunc)
+		d         time.Duration
+		want      error
+		slept     time.Duration // at least
+		fastUnder time.Duration // at most
+	}{
+		{"outlives deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), time.Second)
+		}, time.Hour, context.DeadlineExceeded, 0, 500 * time.Millisecond},
+		{"canceled", func() (context.Context, context.CancelFunc) {
+			return canceled, func() {}
+		}, time.Hour, context.Canceled, 0, 500 * time.Millisecond},
+		{"canceled mid-sleep", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(20*time.Millisecond, cancel)
+			return ctx, cancel
+		}, time.Hour, context.Canceled, 20 * time.Millisecond, 30 * time.Second},
+		{"fits deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), time.Hour)
+		}, 20 * time.Millisecond, nil, 20 * time.Millisecond, time.Hour},
+		{"no deadline", func() (context.Context, context.CancelFunc) {
+			return context.Background(), func() {}
+		}, 20 * time.Millisecond, nil, 20 * time.Millisecond, time.Hour},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := c.ctx()
+			defer cancel()
+			start := time.Now()
+			err := Sleep(ctx, c.d)
+			elapsed := time.Since(start)
+			if !errors.Is(err, c.want) || (c.want == nil) != (err == nil) {
+				t.Fatalf("Sleep(%v) = %v, want %v", c.d, err, c.want)
+			}
+			if elapsed < c.slept || elapsed > c.fastUnder {
+				t.Fatalf("Sleep(%v) took %v, want in [%v, %v]", c.d, elapsed, c.slept, c.fastUnder)
+			}
+		})
 	}
 }
 

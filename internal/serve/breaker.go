@@ -196,8 +196,8 @@ func (b *Breaker) AllowAll(classes []string) (ok bool, retryAfter time.Duration)
 	return true, 0
 }
 
-// Report feeds one settled cell into the breaker; the server installs it as
-// the shared runner's cell observer. Only hard failures — panics and
+// Report feeds one settled cell into the breaker; the server's settlement
+// hook on the shared runner calls it. Only hard failures — panics and
 // watchdog timeouts — count toward opening; a success closes a probing
 // class and resets its failure count; transient/canceled outcomes resolve a
 // probe without judging the class.

@@ -123,7 +123,7 @@ func TestBreakerReleaseProbesUnwedgesCachedRequests(t *testing.T) {
 	if ok, _ := b.AllowAll([]string{class}); !ok {
 		t.Fatal("probe refused")
 	}
-	// The probing request's cells were all cached: no observer report ever
+	// The probing request's cells were all cached: no settlement report ever
 	// comes. ReleaseProbes (the handler's defer) must free the slot.
 	b.ReleaseProbes([]string{class})
 	if ok, _ := b.AllowAll([]string{class}); !ok {

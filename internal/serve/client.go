@@ -7,10 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"dylect/internal/retry"
@@ -34,31 +32,15 @@ type Client struct {
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 
-	// sleep waits for d or ctx, injectable so tests run without real
-	// delays.
-	sleep func(ctx context.Context, d time.Duration) error
-
-	mu  sync.Mutex
-	rng *rand.Rand
+	// sleep is retry.Sleep, injectable so tests run without real delays.
+	sleep  func(ctx context.Context, d time.Duration) error
+	jitter *retry.Jitter
 }
 
 // NewClient builds a client with the jitter source seeded from seed, so
 // tests reproduce their backoff schedules.
 func NewClient(base string, seed int64) *Client {
-	return &Client{
-		Base: base,
-		rng:  rand.New(rand.NewSource(seed)),
-		sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		},
-	}
+	return &Client{Base: base, jitter: retry.NewJitter(seed), sleep: retry.Sleep}
 }
 
 // APIError is a non-200 service response surfaced to the caller.
@@ -101,15 +83,7 @@ func (c *Client) Run(ctx context.Context, req RunRequest) (*RunResponse, error) 
 	var last error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			d := c.backoff(attempt, last)
-			// A cooldown that cannot finish before the request deadline is a
-			// guaranteed failure: surface the deadline now instead of
-			// sleeping through the remaining budget first.
-			if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
-				return nil, fmt.Errorf("serve: %v backoff would outlive the request deadline: %w",
-					d, context.DeadlineExceeded)
-			}
-			if err := c.sleep(ctx, d); err != nil {
+			if err := c.sleep(ctx, c.backoff(attempt, last)); err != nil {
 				return nil, err
 			}
 		}
@@ -186,29 +160,18 @@ func (c *Client) do(ctx context.Context, body []byte, id string) (*RunResponse, 
 	return &out, nil
 }
 
-// backoff computes the wait before the given (1-based) retry attempt:
-// the server's Retry-After when advertised (clamped to MaxBackoff, so a
-// server deep in its own cooldown schedule cannot park the client for
-// minutes), else full-jitter exponential backoff.
+// backoff computes the wait before the given (1-based) retry attempt: the
+// server's Retry-After when advertised, else full-jitter exponential backoff
+// (retry.Jitter.Delay), both capped at MaxBackoff.
 func (c *Client) backoff(attempt int, last error) time.Duration {
-	maxB := c.MaxBackoff
-	if maxB <= 0 {
-		maxB = retry.DefaultCap
-	}
-	var apiErr *APIError
-	if errors.As(last, &apiErr) && apiErr.RetryAfter > 0 {
-		// The advice overrides the schedule, so no jitter is drawn.
-		return retry.Advised(0, apiErr.RetryAfter, maxB)
-	}
 	base := c.BaseBackoff
 	if base <= 0 {
 		base = 200 * time.Millisecond
 	}
-	d := retry.Ceiling(base, maxB, attempt)
-	// Full jitter: uniform in (0, d]. Decorrelates clients that were
-	// rejected together so they do not return together.
-	c.mu.Lock()
-	j := time.Duration(c.rng.Int63n(int64(d))) + 1
-	c.mu.Unlock()
-	return j
+	var advice time.Duration
+	var apiErr *APIError
+	if errors.As(last, &apiErr) {
+		advice = apiErr.RetryAfter
+	}
+	return c.jitter.Delay(base, c.MaxBackoff, attempt, advice)
 }

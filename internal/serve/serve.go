@@ -137,7 +137,7 @@ func New(opts Options) *Server {
 	}
 	s.adm = NewAdmission(opts.MaxCost, opts.MaxQueue, opts.PerClient, opts.Now)
 	s.brk = NewBreaker(opts.Breaker, opts.Now)
-	s.runner.SetCellObserver(s.brk.Report)
+	s.runner.SetCellTelemetry(s.observeCell)
 	s.mem = NewMemoryMonitor(opts.Memory, func(int32) {
 		// On an upward pressure transition, shed the largest queued
 		// requests first; freeing half the running budget's worth of
@@ -154,11 +154,19 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
 	if opts.Telemetry != nil {
 		s.tel = opts.Telemetry
-		s.runner.SetCellTelemetry(s.tel.observeCell)
 		s.brk.SetTransitionHook(s.tel.observeBreaker)
 		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	}
 	return s
+}
+
+// observeCell is the runner's settlement hook: every settled cell feeds the
+// breaker and, when telemetry is on, the cell instruments.
+func (s *Server) observeCell(c harness.CellSettlement) {
+	s.brk.Report(c.Key, c.Err)
+	if s.tel != nil {
+		s.tel.observeCell(c)
+	}
 }
 
 // Handler returns the service's HTTP handler.
@@ -422,7 +430,7 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 		return fail(http.StatusServiceUnavailable, CodeBreakerOpen,
 			"circuit open for a (workload, design) class this request needs", retry)
 	}
-	// A probe committed above normally settles through the cell observer;
+	// A probe committed above normally settles through the settlement hook;
 	// if this request's cells were all cached (nothing fresh to observe),
 	// free the probe slot on exit so the class is not wedged probing.
 	defer s.brk.ReleaseProbes(classes)

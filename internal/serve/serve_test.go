@@ -211,81 +211,120 @@ func TestServeDeadlinePropagation(t *testing.T) {
 
 // TestServeBreakerLifecycle drives a (workload, design) class through
 // closed -> open -> half-open -> closed over real requests, with the
-// breaker clock injected so cooldowns need no sleeping.
+// breaker clock injected so cooldowns need no sleeping. It runs with
+// telemetry off and on: both feed from the runner's one settlement hook, so
+// with telemetry on the panic counter must count exactly the failures that
+// tripped the breaker, and the transition counter each state change.
 func TestServeBreakerLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	leakCheck(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	clk := newFakeClock()
-	s, ts := newTestServer(t, ctx, func(o *Options) {
-		o.Now = clk.Now
-		o.Breaker = BreakerConfig{Threshold: 2, Cooldown: time.Second}
-	})
-	// Every tmcc attempt panics until the test heals the fault. An
-	// attempt-counted script would be racy here: failed cells are evicted in
-	// service mode, so the experiment body re-runs them within the same
-	// request and would consume the scripted failures nondeterministically.
-	var healedFault atomic.Bool
-	ci := faults.NewCellInjector()
-	ci.Script("omnetpp/tmcc", faults.CellSpec{Kind: faults.CellPanic})
-	s.Runner().SetCellHook(func(cellKey string) error {
-		if healedFault.Load() {
-			return nil
-		}
-		return ci.Hook(cellKey)
-	})
+	for _, tc := range []struct {
+		name string
+		tel  *Telemetry
+	}{{"telemetry off", nil}, {"telemetry on", NewTelemetry()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakCheck(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			clk := newFakeClock()
+			s, ts := newTestServer(t, ctx, func(o *Options) {
+				if tc.tel != nil {
+					withTelemetry(tc.tel)(o)
+				}
+				o.Now = clk.Now
+				o.Breaker = BreakerConfig{Threshold: 2, Cooldown: time.Second}
+			})
+			// Every tmcc attempt panics until the test heals the fault. An
+			// attempt-counted script would be racy here: failed cells are
+			// evicted in service mode, so the experiment body re-runs them
+			// within the same request and would consume the scripted
+			// failures nondeterministically.
+			const class = "omnetpp/tmcc"
+			var healedFault atomic.Bool
+			ci := faults.NewCellInjector()
+			ci.Script(class, faults.CellSpec{Kind: faults.CellPanic})
+			s.Runner().SetCellHook(func(cellKey string) error {
+				if healedFault.Load() {
+					return nil
+				}
+				return ci.Hook(cellKey)
+			})
+			// transitions checks the telemetry transition counts into open,
+			// half-open and closed.
+			transitions := func(open, half, closed float64) {
+				t.Helper()
+				if tc.tel == nil {
+					return
+				}
+				for to, want := range map[string]float64{"open": open, "half-open": half, "closed": closed} {
+					if got := tc.tel.breakerTransitions.Value(class, to); got != want {
+						t.Errorf("transitions to %s = %v, want %v", to, got, want)
+					}
+				}
+			}
 
-	status, body, _ := postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
-	if status != http.StatusOK {
-		t.Fatalf("first request status = %d: %s", status, body)
-	}
-	var resp RunResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Partial || resp.Experiments[0].Code != "panic" {
-		t.Fatalf("first request: partial=%v code=%q", resp.Partial, resp.Experiments[0].Code)
-	}
-	if got := s.Breaker().State("omnetpp/tmcc"); got != "open" {
-		t.Fatalf("class after two panics = %s, want open", got)
-	}
+			status, body, _ := postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
+			if status != http.StatusOK {
+				t.Fatalf("first request status = %d: %s", status, body)
+			}
+			var resp RunResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !resp.Partial || resp.Experiments[0].Code != "panic" {
+				t.Fatalf("first request: partial=%v code=%q", resp.Partial, resp.Experiments[0].Code)
+			}
+			if got := s.Breaker().State(class); got != "open" {
+				t.Fatalf("class after two panics = %s, want open", got)
+			}
+			panics := ci.Attempts(class)
+			if panics < 2 {
+				t.Fatalf("%d panicked attempts, want at least the threshold of 2", panics)
+			}
+			if tc.tel != nil {
+				if got := tc.tel.cellFailures.Value(class, "panic"); got != float64(panics) {
+					t.Fatalf("cell failures{code=panic} = %v, want the %d panics the breaker saw", got, panics)
+				}
+			}
+			transitions(1, 0, 0)
 
-	// While open: refused with the stable code and Retry-After advice.
-	status, body, hdr := postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("open-breaker status = %d: %s", status, body)
-	}
-	var er ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Code != CodeBreakerOpen {
-		t.Fatalf("code = %q", er.Code)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("open-breaker rejection missing Retry-After")
-	}
+			// While open: refused with the stable code and Retry-After advice.
+			status, body, hdr := postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
+			if status != http.StatusServiceUnavailable {
+				t.Fatalf("open-breaker status = %d: %s", status, body)
+			}
+			var er ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatal(err)
+			}
+			if er.Code != CodeBreakerOpen {
+				t.Fatalf("code = %q", er.Code)
+			}
+			if hdr.Get("Retry-After") == "" {
+				t.Fatal("open-breaker rejection missing Retry-After")
+			}
 
-	// Cooldown elapses and the fault clears: the probe request runs and
-	// heals the class.
-	healedFault.Store(true)
-	clk.Advance(1100 * time.Millisecond)
-	status, body, _ = postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
-	if status != http.StatusOK {
-		t.Fatalf("probe request status = %d: %s", status, body)
-	}
-	var healed RunResponse
-	if err := json.Unmarshal(body, &healed); err != nil {
-		t.Fatal(err)
-	}
-	if healed.Partial {
-		t.Fatalf("healed probe request still partial: %+v", healed.Experiments)
-	}
-	if got := s.Breaker().State("omnetpp/tmcc"); got != "closed" {
-		t.Fatalf("class after successful probe = %s, want closed", got)
+			// Cooldown elapses and the fault clears: the probe request runs
+			// and heals the class.
+			healedFault.Store(true)
+			clk.Advance(1100 * time.Millisecond)
+			status, body, _ = postRun(t, ts.URL, RunRequest{Experiments: []string{"fig4"}})
+			if status != http.StatusOK {
+				t.Fatalf("probe request status = %d: %s", status, body)
+			}
+			var healed RunResponse
+			if err := json.Unmarshal(body, &healed); err != nil {
+				t.Fatal(err)
+			}
+			if healed.Partial {
+				t.Fatalf("healed probe request still partial: %+v", healed.Experiments)
+			}
+			if got := s.Breaker().State(class); got != "closed" {
+				t.Fatalf("class after successful probe = %s, want closed", got)
+			}
+			transitions(1, 1, 1)
+		})
 	}
 }
 

@@ -126,8 +126,8 @@ func (t *Telemetry) StoreObserver() func(op, detail string) {
 	}
 }
 
-// observeCell feeds one settled cell. Installed as the runner's telemetry
-// hook by New when Options.Telemetry is set.
+// observeCell feeds one settled cell. The server's settlement hook calls it
+// when Options.Telemetry is set.
 func (t *Telemetry) observeCell(s harness.CellSettlement) {
 	class := ClassOf(s.Key)
 	if s.Err != nil {

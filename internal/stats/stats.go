@@ -179,9 +179,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 // NumRows returns the number of data rows added so far.
 func (t *Table) NumRows() int { return len(t.rows) }
 
-// Rows returns the formatted data rows.
-func (t *Table) Rows() [][]string { return t.rows }
-
 func formatFloat(v float64) string {
 	switch {
 	case v == math.Trunc(v) && math.Abs(v) < 1e9:

@@ -6,7 +6,6 @@ import (
 
 	"dylect/internal/cache"
 	"dylect/internal/mc"
-	"dylect/internal/tlb"
 	"dylect/internal/trace"
 )
 
@@ -70,12 +69,10 @@ type WarmImage struct {
 }
 
 type coreImage struct {
-	gen        *trace.Mix // frozen; each restore clones it
-	tlb        *tlb.Snapshot
-	walker     *cache.Snapshot
-	l1, l2     *cache.Snapshot
-	nlL1       *cache.NextLine
-	stL1, stL2 *cache.Stride
+	gen                 *trace.Mix // frozen; each restore clones it
+	tlb, walker, l1, l2 *cache.Snapshot
+	nlL1                *cache.NextLine
+	stL1, stL2          *cache.Stride
 }
 
 // Bytes returns the size of the image's cache and TLB snapshots, first-touch

@@ -7,10 +7,6 @@
 package tlb
 
 import (
-	"cmp"
-	"fmt"
-	"slices"
-
 	"dylect/internal/cache"
 	"dylect/internal/stats"
 )
@@ -21,111 +17,51 @@ const (
 	PageSize2M = 2 << 20
 )
 
-// entry is one TLB entry.
-type entry struct {
-	vpn   uint64
-	huge  bool
-	valid bool
-	used  uint64
-}
-
 // TLB is a unified set-associative TLB. 2MB entries and 4KB entries share
 // the structure; lookups check the access's page both ways (4KB index and
 // 2MB index), mirroring how unified last-level TLBs behave.
+//
+// Its sets are a cache.Cache with one-byte lines, so the TLB keeps the
+// caches' packed recency-ordered LRU ways and their snapshot. A page
+// (vpn, huge) is the line (vpn/sets·2 + huge)·sets + vpn mod sets: its set
+// is vpn mod sets, and the page size is the tag's low bit.
 type TLB struct {
-	sets  [][]entry
-	assoc int
-	tick  uint64
+	sets  *cache.Cache
+	nsets uint64
 
 	Hits   stats.Counter
 	Misses stats.Counter
 }
 
-// NewTLB builds a TLB with the given total entries and associativity.
+// NewTLB builds a TLB with the given total entries and associativity; it
+// panics on a geometry that does not divide into sets.
 func NewTLB(entries, assoc int) *TLB {
-	if entries <= 0 || assoc <= 0 || entries%assoc != 0 {
-		panic(fmt.Sprintf("tlb: bad geometry entries=%d assoc=%d", entries, assoc))
-	}
-	t := &TLB{assoc: assoc}
-	nsets := entries / assoc
-	t.sets = make([][]entry, nsets)
-	backing := make([]entry, nsets*assoc)
-	for i := range t.sets {
-		t.sets[i], backing = backing[:assoc:assoc], backing[assoc:]
-	}
-	return t
+	c := cache.New(cache.Config{SizeBytes: entries, LineBytes: 1, Assoc: assoc})
+	return &TLB{sets: c, nsets: uint64(c.Config().Sets())}
 }
 
-// Snapshot is an immutable, compact copy of a TLB's contents: each set's
-// valid entries from least to most recently used, so an entry's position is
-// its LRU rank, followed by the set's empty entries. An entry is stored as
-// (vpn<<1 | huge) + 1, 0 marking an empty one. Statistics are not captured.
-type Snapshot struct {
-	assoc   int
-	entries []uint64
-}
-
-// Bytes returns the snapshot's approximate heap footprint.
-func (s *Snapshot) Bytes() int { return 8 * len(s.entries) }
-
-// Snapshot captures the TLB's contents.
-func (t *TLB) Snapshot() *Snapshot {
-	s := &Snapshot{assoc: t.assoc, entries: make([]uint64, 0, len(t.sets)*t.assoc)}
-	order := make([]entry, 0, t.assoc)
-	for _, set := range t.sets {
-		order = order[:0]
-		for _, e := range set {
-			if e.valid {
-				order = append(order, e)
-			}
-		}
-		// Valid entries carry distinct stamps, so this order is total.
-		slices.SortFunc(order, func(a, b entry) int { return cmp.Compare(a.used, b.used) })
-		for _, e := range order {
-			v := e.vpn << 1
-			if e.huge {
-				v |= 1
-			}
-			s.entries = append(s.entries, v+1)
-		}
-		for range t.assoc - len(order) {
-			s.entries = append(s.entries, 0)
-		}
+// line returns the cache line of page vpn at the given size.
+func (t *TLB) line(vpn uint64, huge bool) uint64 {
+	q := vpn / t.nsets
+	tag := 2 * q
+	if huge {
+		tag++
 	}
-	return s
+	return tag*t.nsets + vpn - q*t.nsets
 }
 
-// Restore loads a snapshot into a TLB of the same geometry. Lookups match by
-// page and victims are chosen by stamp order or among interchangeable empty
-// entries, never by position, so the TLB behaves exactly as the snapshotted
-// one did. Statistics are left untouched.
-func (t *TLB) Restore(s *Snapshot) {
-	if s.assoc != t.assoc || len(s.entries) != len(t.sets)*t.assoc {
-		panic(fmt.Sprintf("tlb: restoring a %d-entry %d-way snapshot into a %d-entry %d-way TLB",
-			len(s.entries), s.assoc, len(t.sets)*t.assoc, t.assoc))
-	}
-	for i, set := range t.sets {
-		for j := range set {
-			v := s.entries[i*t.assoc+j]
-			if v == 0 {
-				set[j] = entry{}
-				continue
-			}
-			set[j] = entry{vpn: (v - 1) >> 1, huge: (v-1)&1 != 0, valid: true, used: uint64(j + 1)}
-		}
-	}
-	t.tick = uint64(t.assoc)
-}
+// Snapshot captures the TLB's contents (statistics are not captured).
+func (t *TLB) Snapshot() *cache.Snapshot { return t.sets.Snapshot() }
 
-func (t *TLB) set(vpn uint64) []entry {
-	return t.sets[vpn%uint64(len(t.sets))]
-}
+// Restore loads a snapshot of a TLB with the same geometry; the TLB then
+// behaves exactly as the snapshotted one did. Statistics are left untouched.
+func (t *TLB) Restore(s *cache.Snapshot) { t.sets.Restore(s) }
 
 // Lookup translates the virtual address if a covering entry exists. It
 // updates recency and hit/miss statistics.
 func (t *TLB) Lookup(va uint64) bool {
-	t.tick++
-	if t.probe(va/PageSize4K, false) || t.probe(va/PageSize2M, true) {
+	if t.sets.Access(t.line(va/PageSize4K, false), false) ||
+		t.sets.Access(t.line(va/PageSize2M, true), false) {
 		t.Hits.Inc()
 		return true
 	}
@@ -133,45 +69,14 @@ func (t *TLB) Lookup(va uint64) bool {
 	return false
 }
 
-func (t *TLB) probe(vpn uint64, huge bool) bool {
-	set := t.set(vpn)
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn && set[i].huge == huge {
-			set[i].used = t.tick
-			return true
-		}
-	}
-	return false
-}
-
 // Insert installs a translation for the page containing va at the given
 // page size, evicting the set's LRU entry if needed.
 func (t *TLB) Insert(va uint64, huge bool) {
-	t.tick++
-	ps := uint64(PageSize4K)
+	vpn := va / PageSize4K
 	if huge {
-		ps = PageSize2M
+		vpn = va / PageSize2M
 	}
-	vpn := va / ps
-	set := t.set(vpn)
-	lru := 0
-	for i := range set {
-		if set[i].valid && set[i].vpn == vpn && set[i].huge == huge {
-			set[i].used = t.tick
-			return
-		}
-		if !set[i].valid {
-			lru = i
-		}
-	}
-	if set[lru].valid {
-		for i := range set {
-			if set[i].used < set[lru].used {
-				lru = i
-			}
-		}
-	}
-	set[lru] = entry{vpn: vpn, huge: huge, valid: true, used: t.tick}
+	t.sets.Fill(t.line(vpn, huge), false)
 }
 
 // MissRate returns misses/(hits+misses).
@@ -306,18 +211,6 @@ func (w *Walker) Walk(va uint64) []uint64 {
 // Cache exposes the walker cache, so warmup state can be snapshotted and
 // restored.
 func (w *Walker) Cache() *cache.Cache { return w.wcache }
-
-// CacheHitRate returns the fraction of page-table references filtered by
-// the walker cache (the leaf PTE always goes to memory, so it counts
-// against the rate).
-func (w *Walker) CacheHitRate() float64 {
-	return stats.Ratio(w.CacheHit.Value(), w.CacheHit.Value()+w.MemRefs.Value())
-}
-
-// RefsPerWalk returns the mean memory-hierarchy references issued per walk.
-func (w *Walker) RefsPerWalk() float64 {
-	return stats.Ratio(w.MemRefs.Value(), w.Walks.Value())
-}
 
 // ResetStats zeroes walker statistics.
 func (w *Walker) ResetStats() {

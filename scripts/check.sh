@@ -54,6 +54,12 @@
 #            require orphan re-dispatch, fired hedges, a byte-identical
 #            merge, clean drains, and a store-sourced warm restart
 #            (scripts/fabric_chaos.sh; FABRIC_DIR keeps the artifacts)
+#   dybench  the benchmark module: dybench/ is its own Go module, so
+#            `go build ./...` and `go test ./...` skip it; this runs go vet
+#            and go test inside it with run.sh's offline env, so a change
+#            to a harness, serve or fabric API it calls fails here instead
+#            of when the change is benchmarked (its smoke test also
+#            re-checks the export digests)
 #   fuzz     10s smoke per fuzz target in ./internal/comp and the
 #            BENCH_*.json snapshot decoder in ./internal/perfbench
 #   bench    perf-trajectory gate: run the pinned dylect-bench suite and
@@ -70,13 +76,13 @@ cd "$(dirname "$0")/.."
 
 FUZZTIME="${FUZZTIME:-10s}"
 steps=("$@")
-[ ${#steps[@]} -eq 0 ] && steps=(fmt build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)
+[ ${#steps[@]} -eq 0 ] && steps=(fmt build vet lint contracts race stress golden faults obs serve store fabric dybench fuzz bench)
 
 for s in "${steps[@]}"; do
 	case "$s" in
-	fmt | build | vet | lint | contracts | race | stress | golden | faults | obs | serve | store | fabric | fuzz | bench) ;;
+	fmt | build | vet | lint | contracts | race | stress | golden | faults | obs | serve | store | fabric | dybench | fuzz | bench) ;;
 	*)
-		echo "unknown step '$s' (want: fmt build vet lint contracts race stress golden faults obs serve store fabric fuzz bench)" >&2
+		echo "unknown step '$s' (want: fmt build vet lint contracts race stress golden faults obs serve store fabric dybench fuzz bench)" >&2
 		exit 2
 		;;
 	esac
@@ -295,6 +301,16 @@ if want fabric; then
 	go test -race -count=1 \
 		-run 'TestCluster|TestWorkerCLI|TestParseChaos' ./cmd/dylect-served
 	scripts/fabric_chaos.sh
+fi
+
+if want dybench; then
+	echo "== benchmark module (go vet + go test in dybench/)"
+	(
+		cd dybench
+		export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+		go vet ./...
+		go test ./...
+	)
 fi
 
 if want fuzz; then
