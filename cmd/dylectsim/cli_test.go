@@ -95,7 +95,9 @@ func TestCLISimulatedExperimentWithJSON(t *testing.T) {
 // TestCLIInterruptPartialExport models SIGINT delivery: with the signal
 // context already canceled, the run drains (no cell starts), the -json
 // export is still written atomically (here: an empty result set), and the
-// exit code is the conventional 130.
+// exit code is the conventional 130. The drain report and the export are
+// pinned to exact bytes, so every run of a repeated -count checks that both
+// are byte-stable.
 func TestCLIInterruptPartialExport(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -110,11 +112,17 @@ func TestCLIInterruptPartialExport(t *testing.T) {
 	if code != 130 {
 		t.Fatalf("exit code %d, want 130:\n%s", code, sb.String())
 	}
-	if !strings.Contains(sb.String(), "not started") {
-		t.Fatalf("drained cells not reported:\n%s", sb.String())
+	const wantReport = "== Figure 17: baseline bandwidth utilization (fig17)\n\n" +
+		"!! failed: experiment fig17: harness: cell omnetpp/nocomp/none: not started: context canceled\n\n"
+	if got := sb.String(); got != wantReport {
+		t.Fatalf("drain report is\n%q\nwant\n%q", got, wantReport)
 	}
-	if _, err := os.ReadFile(jsonPath); err != nil {
+	export, err := os.ReadFile(jsonPath)
+	if err != nil {
 		t.Fatalf("partial export not written: %v", err)
+	}
+	if string(export) != "[]" {
+		t.Fatalf("partial export is %q, want %q", export, "[]")
 	}
 }
 

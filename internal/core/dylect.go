@@ -62,167 +62,64 @@ func New(p mc.Params, cfg Config) *Controller {
 	if cfg.SamplePeriod == 0 {
 		cfg = DefaultConfig()
 	}
-	return &Controller{Base: mc.NewBase(p), cfg: cfg}
+	c := &Controller{Base: mc.NewBase(p), cfg: cfg}
+	c.Proto = c
+	return c
 }
 
-// Stats implements mc.Translator.
-func (c *Controller) Stats() *mc.Stats { return &c.S }
-
-// Warm implements mc.Translator: the functional warmup path (atomic-mode
-// analogue) — identical state machine, no timing.
-func (c *Controller) Warm(addr uint64, write bool) {
-	c.SetFunctional(true)
-	c.Access(addr, write, nil)
-	c.SetFunctional(false)
-}
-
-// Access implements mc.Translator. The lookup protocol follows Figures 14
-// and 15; the hit/miss definitions follow Section IV-C1/C2.
-func (c *Controller) Access(addr uint64, write bool, done func()) {
-	c.S.Requests.Inc()
-	u := c.UnitOf(addr)
-
-	if c.Functional() {
-		c.accessFunctional(u, addr, write, done)
-		return
-	}
-
-	start := c.Eng.Now()
-	finish := done
-	if !write {
-		finish = func() {
-			c.S.ReadLatency.Observe((c.Eng.Now() - start).Nanoseconds())
-			if done != nil {
-				done()
-			}
-		}
-	}
-
-	proceed := func() { c.serve(u, addr, write, finish) }
-
+// Lookup implements mc.Protocol. The protocol follows Figures 14 and 15;
+// the hit/miss definitions follow Section IV-C1/C2.
+//
+//dylect:hotpath
+func (c *Controller) Lookup(u uint64) mc.Lookup {
+	inML0 := c.Level(u) == mc.ML0
 	if c.P.PerfectCTE {
-		c.S.CTEHits.Inc()
-		if c.Level(u) == mc.ML0 {
+		if inML0 {
 			c.S.PreGatheredHits.Inc()
 		} else {
 			c.S.UnifiedHits.Inc()
 		}
-		c.After(c.P.CTEHitLatency, proceed)
-		return
+		return mc.Lookup{}
 	}
 
 	pgBlk := c.PreGatheredBlockAddr(u)
 	uBlk := c.UnifiedBlockAddr(u)
-	inML0 := c.Level(u) == mc.ML0
-
 	switch {
 	case c.CTE.Access(pgBlk, false):
 		if inML0 {
 			// Common case (green path in Figure 15): valid short CTE.
-			c.S.CTEHits.Inc()
 			c.S.PreGatheredHits.Inc()
-			c.After(c.P.CTEHitLatency, proceed)
-			return
+			return mc.Lookup{}
 		}
 		// Short CTE is INVALID: need the unified block.
 		if c.CTE.Access(uBlk, false) {
-			c.S.CTEHits.Inc()
 			c.S.UnifiedHits.Inc()
-			c.After(c.P.CTEHitLatency, proceed)
-			return
+			return mc.Lookup{}
 		}
 		// The pre-gathered hit told us the page is ML1/ML2, so only the
 		// unified block is fetched (and cached — the page uses it).
-		c.S.CTEMisses.Inc()
-		c.After(c.P.CTEHitLatency, func() {
-			c.FetchCTEBlock(uBlk, true, proceed)
-		})
+		return mc.Miss(uBlk, true)
 	case c.CTE.Access(uBlk, false):
 		// Pre-gathered block missing but the unified block (which also
 		// records short CTEs with a marker bit) can serve any level.
-		c.S.CTEHits.Inc()
 		c.S.UnifiedHits.Inc()
-		c.After(c.P.CTEHitLatency, proceed)
-	default:
-		// Full miss: fetch both blocks in parallel (Figure 16). The access
-		// resumes when the block it actually needs arrives; the
-		// pre-gathered block is always cached, the unified block only if
-		// the page is in ML1/ML2.
-		c.S.CTEMisses.Inc()
-		c.After(c.P.CTEHitLatency, func() {
-			if inML0 {
-				c.FetchCTEBlock(pgBlk, true, proceed)
-				c.FetchCTEBlock(uBlk, false, nil)
-			} else {
-				c.FetchCTEBlock(pgBlk, true, nil)
-				c.FetchCTEBlock(uBlk, true, proceed)
-			}
-		})
+		return mc.Lookup{}
 	}
+	// Full miss: fetch both blocks in parallel (Figure 16), pre-gathered
+	// first. The access resumes when the block it actually needs arrives;
+	// the pre-gathered block is always cached, the unified block only if
+	// the page is in ML1/ML2.
+	l := mc.Lookup{Fetch: [2]mc.Fetch{{Addr: pgBlk, Cache: true}, {Addr: uBlk, Cache: !inML0}}, N: 2}
+	if !inML0 {
+		l.Wait = 1
+	}
+	return l
 }
 
-// accessFunctional is the warmup fast path: the same lookup state machine as
-// Access — identical counter increments, CTE-cache touches, and fill order —
-// but with every After() (inline in functional mode) and its closure
-// removed. Warmup issues orders of magnitude more accesses than the timed
-// window, so this path must not allocate per access.
-func (c *Controller) accessFunctional(u, addr uint64, write bool, done func()) {
-	if c.P.PerfectCTE {
-		c.S.CTEHits.Inc()
-		if c.Level(u) == mc.ML0 {
-			c.S.PreGatheredHits.Inc()
-		} else {
-			c.S.UnifiedHits.Inc()
-		}
-		c.serve(u, addr, write, done)
-		return
-	}
-
-	pgBlk := c.PreGatheredBlockAddr(u)
-	uBlk := c.UnifiedBlockAddr(u)
-	inML0 := c.Level(u) == mc.ML0
-
-	switch {
-	case c.CTE.Access(pgBlk, false):
-		if inML0 {
-			c.S.CTEHits.Inc()
-			c.S.PreGatheredHits.Inc()
-			c.serve(u, addr, write, done)
-			return
-		}
-		if c.CTE.Access(uBlk, false) {
-			c.S.CTEHits.Inc()
-			c.S.UnifiedHits.Inc()
-			c.serve(u, addr, write, done)
-			return
-		}
-		c.S.CTEMisses.Inc()
-		c.FetchCTEBlock(uBlk, true, nil)
-		c.serve(u, addr, write, done)
-	case c.CTE.Access(uBlk, false):
-		c.S.CTEHits.Inc()
-		c.S.UnifiedHits.Inc()
-		c.serve(u, addr, write, done)
-	default:
-		// The non-cached fetch only counts a statistic in functional mode,
-		// so issuing both fetches before serving matches the timed path's
-		// final state exactly.
-		c.S.CTEMisses.Inc()
-		if inML0 {
-			c.FetchCTEBlock(pgBlk, true, nil)
-			c.FetchCTEBlock(uBlk, false, nil)
-		} else {
-			c.FetchCTEBlock(pgBlk, true, nil)
-			c.FetchCTEBlock(uBlk, true, nil)
-		}
-		c.serve(u, addr, write, done)
-	}
-}
-
-// serve runs after translation: it performs the data access (expanding ML2
+// Serve implements mc.Protocol: it performs the data access (expanding ML2
 // units), maintains the Recency List, and applies the sampled promotion
 // policy.
-func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
+func (c *Controller) Serve(u, addr uint64, write, _ bool, finish func()) {
 	c.TouchRecency(u)
 	c.sampleAndPromote(u)
 	if c.Level(u) == mc.ML2 {
@@ -231,7 +128,7 @@ func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
 			// Ablation: conventional cache-style promotion straight into
 			// the group (double page movement per expansion).
 			after = func() {
-				c.forceIntoGroup(u)
+				c.ClaimGroupSlot(u)
 				if finish != nil {
 					finish()
 				}
@@ -240,7 +137,7 @@ func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
 		if write {
 			var postExpand func()
 			if c.cfg.DirectToML0 {
-				postExpand = func() { c.forceIntoGroup(u) }
+				postExpand = func() { c.ClaimGroupSlot(u) }
 			}
 			c.ExpandUnit(u, postExpand)
 			if finish != nil {
@@ -253,35 +150,6 @@ func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
 		c.DataAccess(addr, write, finish)
 	}
 	c.CheckPressure()
-}
-
-// forceIntoGroup implements the DirectToML0 ablation: claim any group slot
-// (displacing its occupant) right after expansion.
-func (c *Controller) forceIntoGroup(u uint64) {
-	if c.Level(u) != mc.ML1 {
-		return
-	}
-	for _, s := range c.GroupSlots(u) {
-		if c.Space.FrameIsFree(s) && c.Space.AllocSpecificFrame(s) {
-			c.MoveToSlot(u, s)
-			return
-		}
-	}
-	for _, s := range c.GroupSlots(u) {
-		if c.FrameHoldsChunks(s) {
-			if c.DisplaceChunkFrame(s) && c.Level(u) == mc.ML1 &&
-				c.Space.AllocSpecificFrame(s) {
-				c.MoveToSlot(u, s)
-				return
-			}
-			continue
-		}
-		if owner := c.FrameOwner(s); owner >= 0 && uint64(owner) != u {
-			if c.DisplaceAndClaim(u, s) {
-				return
-			}
-		}
-	}
 }
 
 // sampleAndPromote implements the 5%-sampled access counters and the
@@ -302,3 +170,4 @@ func (c *Controller) sampleAndPromote(u uint64) {
 }
 
 var _ mc.Translator = (*Controller)(nil)
+var _ mc.Protocol = (*Controller)(nil)

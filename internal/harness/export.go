@@ -58,19 +58,24 @@ type RawResult struct {
 	PressureStuck   uint64 `json:"pressureStuck"`
 }
 
-// settledOK reports whether a flight completed successfully. Callers must
-// hold r.mu.
-func settledOK(f *flight) bool {
+// settled reports whether a flight has finished, successfully or not. A
+// planning entry, never simulated, has no done channel; a running flight's
+// is still open. Callers must hold r.mu.
+func settled(f *flight) bool {
 	if f.done == nil {
-		return false // planning entry, never simulated
+		return false
 	}
 	select {
 	case <-f.done:
+		return true
 	default:
-		return false // still running
+		return false
 	}
-	return f.err == nil && f.res != nil
 }
+
+// settledOK reports whether a flight completed successfully. Callers must
+// hold r.mu.
+func settledOK(f *flight) bool { return settled(f) && f.err == nil && f.res != nil }
 
 // rawOf flattens one completed cell into its exportable record.
 func rawOf(k runKey, res *system.Result) RawResult {

@@ -12,13 +12,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata/golden fixtures")
 
-// goldenExperiments is the regression corpus: three experiments whose cell
-// sets cover the baseline, TMCC and DyLeCT designs at both compression
-// settings plus a parameter sweep. Each fixture is the complete JSON export
-// of a fresh runner after that one experiment, at the fixed-seed small
-// config — any change to simulator behavior, cell enumeration, or export
-// formatting shows up as a byte diff.
-var goldenExperiments = []string{"fig4", "fig19", "fig25"}
+// goldenExperiments is the regression corpus: experiments whose cell sets
+// cover every design (baseline, TMCC, DyLeCT, naive) at both compression
+// settings, the DirectToML0 and PerfectCTE variants, 4KB page walks and a
+// parameter sweep. Each fixture is the complete JSON export of a fresh
+// runner after that one experiment, at the fixed-seed small config — any
+// change to simulator behavior, cell enumeration, or export formatting
+// shows up as a byte diff.
+var goldenExperiments = []string{"fig4", "fig19", "fig25", "naive", "abl-gradual", "fig18", "motivation"}
 
 // TestGoldenCorpus re-runs each corpus experiment and byte-compares its
 // JSON export against testdata/golden/<name>.json. Regenerate with:

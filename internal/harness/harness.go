@@ -380,15 +380,7 @@ func (r *Runner) EvictFailed(match func(cellKey string) bool) int {
 	defer r.mu.Unlock()
 	n := 0
 	for k, f := range r.cache {
-		if f.done == nil {
-			continue // planning entry
-		}
-		select {
-		case <-f.done:
-		default:
-			continue // still running
-		}
-		if f.err == nil {
+		if !settled(f) || f.err == nil {
 			continue
 		}
 		if match == nil || match(k.String()) {
@@ -827,9 +819,12 @@ func (r *Runner) noteSettled() {
 // ScaledCTECache scales a paper-sized CTE cache with the footprint scale so
 // translation-reach : footprint ratios match the paper (a 128KB cache's
 // 64MB unified reach is sized against 1-106GB footprints; against a 1/8
-// scale footprint the equivalent cache is 16KB). Floored at 4KB.
+// scale footprint the equivalent cache is 16KB). Rounded down to whole
+// 8-way sets of 64B lines, so any scale yields a valid cache, and floored
+// at 4KB.
 func (r *Runner) ScaledCTECache(paperBytes int) int {
 	sz := paperBytes / int(r.Cfg.ScaleDivisor)
+	sz -= sz % 512
 	if sz < 4<<10 {
 		sz = 4 << 10
 	}

@@ -32,18 +32,9 @@ type MetricsRow struct {
 func (r *Runner) completedKeysLocked() []runKey {
 	keys := make([]runKey, 0, len(r.cache))
 	for k, f := range r.cache {
-		if f.done == nil {
-			continue // planning entry, never simulated
+		if settledOK(f) {
+			keys = append(keys, k)
 		}
-		select {
-		case <-f.done:
-		default:
-			continue // still running
-		}
-		if f.err != nil || f.res == nil {
-			continue
-		}
-		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i].fileKey() < keys[j].fileKey() })
 	return keys

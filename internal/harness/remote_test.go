@@ -8,6 +8,8 @@ import (
 	"os"
 	"sync/atomic"
 	"testing"
+
+	"dylect/internal/system"
 )
 
 // TestCellSpecRoundTrip proves CellSpec is a lossless wire form of runKey:
@@ -50,6 +52,57 @@ func TestCellSpecRoundTrip(t *testing.T) {
 	} {
 		if _, err := bad.runKey(); err == nil {
 			t.Errorf("spec %+v parsed; want rejection", bad)
+		}
+	}
+}
+
+// TestOutOfRangeSpecsFailCleanly sends option values that used to panic a
+// worker, or exhaust its memory, through system.Build and through
+// Runner.ExecuteCell. Each must come back as an error that carries no cell
+// failure code, so no breaker counts it as a panic.
+func TestOutOfRangeSpecsFailCleanly(t *testing.T) {
+	valid := CellSpec{Workload: "omnetpp", Design: "dylect", Setting: "high"}
+	specs := []struct {
+		name string
+		edit func(*CellSpec)
+	}{
+		{"granularity-3", func(s *CellSpec) { s.Granularity = 3 }},
+		{"granularity-2^40", func(s *CellSpec) { s.Granularity = 1 << 40 }},
+		{"ranks--1", func(s *CellSpec) { s.Ranks = -1 }},
+		{"ranks-2^30", func(s *CellSpec) { s.Ranks = 1 << 30 }},
+		{"cte-cache--64", func(s *CellSpec) { s.CTECacheBytes = -64 }},
+		{"cte-cache-100", func(s *CellSpec) { s.CTECacheBytes = 100 }},
+		{"cte-cache-2^40", func(s *CellSpec) { s.CTECacheBytes = 1 << 40 }},
+		{"group-size-2^40", func(s *CellSpec) { s.GroupSize = 1 << 40 }},
+	}
+	r := NewRunner(microConfig())
+	build := func(spec CellSpec) error {
+		key, err := spec.runKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		key.variant = r.normalize(key.variant)
+		opts, err := r.options(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = system.Build(opts)
+		return err
+	}
+	if err := build(valid); err != nil {
+		t.Fatalf("the unedited spec does not build: %v", err)
+	}
+	for _, tc := range specs {
+		spec := valid
+		tc.edit(&spec)
+		if err := build(spec); err == nil {
+			t.Errorf("%s: system.Build accepted %+v", tc.name, spec)
+		}
+		_, err := r.ExecuteCell(context.Background(), spec)
+		if err == nil {
+			t.Errorf("%s: ExecuteCell accepted %+v", tc.name, spec)
+		} else if code := CellErrorCodeName(err); code != "" {
+			t.Errorf("%s: ExecuteCell failed with code %q, want none: %v", tc.name, code, err)
 		}
 	}
 }

@@ -39,12 +39,48 @@ func (l Level) String() string {
 // Translator is the interface the system's LLC-miss path drives. Access is
 // the timed path (done fires when a read's data is available; writes are
 // posted and may pass done == nil). Warm is the functional path used during
-// the methodology's atomic-mode warmup: identical state transitions, no
-// timing, no DRAM traffic.
+// the methodology's atomic-mode warmup: no timing, no DRAM traffic. For the
+// compressed designs Base.Warm documents where the two paths agree.
 type Translator interface {
 	Access(addr uint64, write bool, done func())
 	Warm(addr uint64, write bool)
 	Stats() *Stats
+}
+
+// Protocol is a compressed design's translation protocol: its CTE lookup
+// and its serve policy. Base sequences both, timed in Access and functional
+// in Warm, so a design writes each once.
+type Protocol interface {
+	// Lookup probes the design's CTE caches for unit u, counting the
+	// design's own hit split (Base counts CTEHits and CTEMisses), and
+	// returns the CTE blocks the access must fetch.
+	Lookup(u uint64) Lookup
+	// Serve runs once the translation is known: the data access, level
+	// changes and promotion policy. fetched reports that the access waited
+	// on a fetched CTE block; finish (nil for unobserved accesses) fires
+	// when a read's data is available.
+	Serve(u, addr uint64, write, fetched bool, finish func())
+}
+
+// Fetch is one CTE-table block read a lookup issues.
+type Fetch struct {
+	Addr  uint64
+	Cache bool // fill the CTE cache when the block arrives
+}
+
+// Lookup is a CTE lookup's outcome: the blocks to fetch in issue order and
+// the index of the one the access waits on. A hit fetches nothing.
+type Lookup struct {
+	Fetch [2]Fetch
+	N     int // blocks to fetch; 0 on a hit
+	Wait  int // index of the block the access resumes on
+}
+
+// Miss returns the lookup outcome that fetches one block and waits on it.
+//
+//dylect:hotpath
+func Miss(addr uint64, cache bool) Lookup {
+	return Lookup{Fetch: [2]Fetch{{Addr: addr, Cache: cache}}, N: 1}
 }
 
 // Stats aggregates translator-level statistics shared by all designs.
@@ -166,6 +202,60 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
+// Bounds on Params: the largest CTE cache, and the largest DRAM page group
+// a one-byte short CTE can index (the value GroupSize marks INVALID).
+const (
+	maxCTECacheBytes = 64 << 20
+	maxGroupSize     = 255
+)
+
+// Validate reports why NewBase cannot lay p out, or nil. With defaults
+// filled in, the granularity must be a power of two of at least one page
+// and leave at least one unit; the CTE cache must be whole sets of 64B
+// lines, at most 64 MiB; the group size must be at most 255 and fit in
+// DRAM's frames; and DRAM must hold the CTE tables beside four frames.
+func (p Params) Validate() error {
+	_, err := p.withDefaults().usableBytes()
+	return err
+}
+
+// usableBytes returns the DRAM bytes left for frames below the CTE tables
+// reserved at its top, or why p cannot be laid out.
+func (p Params) usableBytes() (uint64, error) {
+	g := p.Granularity
+	if g < comp.PageSize || g&(g-1) != 0 {
+		return 0, fmt.Errorf("mc: granularity %d is not a power of two of at least %d", g, comp.PageSize)
+	}
+	nUnits := p.OSBytes / g
+	if nUnits == 0 {
+		return 0, fmt.Errorf("mc: empty footprint (%d bytes at granularity %d)", p.OSBytes, g)
+	}
+	if set := 64 * p.CTEAssoc; p.CTEAssoc <= 0 || p.CTECacheBytes <= 0 ||
+		p.CTECacheBytes%set != 0 || p.CTECacheBytes > maxCTECacheBytes {
+		return 0, fmt.Errorf("mc: CTE cache of %d bytes is not whole %d-way sets of 64B lines up to %d bytes",
+			p.CTECacheBytes, p.CTEAssoc, maxCTECacheBytes)
+	}
+	if p.GroupSize > maxGroupSize {
+		return 0, fmt.Errorf("mc: group size %d exceeds a short CTE's %d", p.GroupSize, maxGroupSize)
+	}
+	total := p.DRAM.Config().TotalBytes()
+	nPages := p.OSBytes / comp.PageSize
+	tables := align64(nUnits * 8) // unified CTE table: 8B per unit
+	if p.WithDyLeCTTables {
+		tables += align64(nPages/4 + 1)   // pre-gathered: 2 bits per page
+		tables += align64(nPages*5/8 + 1) // counters: 5 bits per page
+	}
+	reserved := (tables + g - 1) / g * g
+	if reserved+g*4 > total {
+		return 0, fmt.Errorf("mc: DRAM of %d bytes too small for tables (%d)", total, reserved)
+	}
+	usable := total - reserved
+	if frames := usable / g; p.GroupSize > frames {
+		return 0, fmt.Errorf("mc: group size %d exceeds DRAM's %d frames", p.GroupSize, frames)
+	}
+	return usable, nil
+}
+
 // unit is the translation/compression unit's per-unit state.
 type unit struct {
 	level Level
@@ -184,7 +274,8 @@ const (
 )
 
 // Base implements the machinery common to TMCC, the naive design, and
-// DyLeCT. Concrete designs embed it and implement Translator.Access.
+// DyLeCT, and the Translator over them: a design embeds it and sets Proto
+// to itself.
 type Base struct {
 	P     Params
 	Eng   *engine.Engine
@@ -193,6 +284,9 @@ type Base struct {
 	Rec   *Recency
 	CTE   *cache.Cache
 	S     Stats
+	// Proto is the design whose lookup and serve policy Access and Warm
+	// sequence.
+	Proto Protocol
 
 	units     []unit
 	ownerUnit []int64 // per frame: owning unit, ownerFree, or ownerChunks
@@ -234,10 +328,15 @@ type Base struct {
 }
 
 // NewBase lays out DRAM (data frames + reserved tables) and initializes all
-// shared structures. Every OS unit starts compressed in ML2, mirroring the
-// methodology's "compress and pack everything, then warm up" sequence.
+// shared structures; it panics on Params that fail Validate. Every OS unit
+// starts compressed in ML2, mirroring the methodology's "compress and pack
+// everything, then warm up" sequence.
 func NewBase(p Params) *Base {
 	p = p.withDefaults()
+	usable, err := p.usableBytes()
+	if err != nil {
+		panic(err)
+	}
 	b := &Base{
 		P:              p,
 		Eng:            p.Eng,
@@ -247,24 +346,10 @@ func NewBase(p Params) *Base {
 		reservedFrames: make(map[uint64]struct{}),
 	}
 	b.nUnits = p.OSBytes / p.Granularity
-	if b.nUnits == 0 {
-		panic("mc: empty footprint")
-	}
 	b.pagesPerUnit = p.Granularity / comp.PageSize
 	b.frameBlocks = int(p.Granularity / comp.BlockSize)
 
-	total := p.DRAM.Config().TotalBytes()
 	nPages := p.OSBytes / comp.PageSize
-	tables := align64(b.nUnits * 8) // unified CTE table: 8B per unit
-	if p.WithDyLeCTTables {
-		tables += align64(nPages/4 + 1)   // pre-gathered: 2 bits per page
-		tables += align64(nPages*5/8 + 1) // counters: 5 bits per page
-	}
-	reserved := (tables + p.Granularity - 1) / p.Granularity * p.Granularity
-	if reserved+p.Granularity*4 > total {
-		panic(fmt.Sprintf("mc: DRAM of %d bytes too small for tables (%d)", total, reserved))
-	}
-	usable := total - reserved
 	b.unifiedBase = usable
 	b.preGatherBase = usable + align64(b.nUnits*8)
 	b.counterBase = b.preGatherBase + align64(nPages/4+1)
@@ -285,7 +370,7 @@ func NewBase(p Params) *Base {
 		addr, carved, ok := b.Space.AllocChunk(class)
 		if !ok {
 			panic(fmt.Sprintf("mc: footprint %d does not fit DRAM %d even fully compressed (unit %d)",
-				p.OSBytes, total, u))
+				p.OSBytes, p.DRAM.Config().TotalBytes(), u))
 		}
 		if carved {
 			b.ownerUnit[b.Space.FrameOf(addr)] = ownerChunks
@@ -365,6 +450,81 @@ func (b *Base) FillCTE(blockAddr uint64, reason string) {
 	}
 }
 
+// Stats implements Translator.
+func (b *Base) Stats() *Stats { return &b.S }
+
+// lookup runs the design's CTE lookup for unit u and counts it as a CTE hit
+// when it fetches nothing, as a miss otherwise.
+//
+//dylect:hotpath
+func (b *Base) lookup(u uint64) Lookup {
+	l := b.Proto.Lookup(u)
+	if l.N == 0 {
+		b.S.CTEHits.Inc()
+	} else {
+		b.S.CTEMisses.Inc()
+	}
+	return l
+}
+
+// Access implements Translator, the timed path. The lookup runs at once.
+// After the CTE hit latency a hit proceeds to the design's Serve, while a
+// miss issues its fetches in order and serves when the awaited block
+// arrives. Reads observe ReadLatency when their data is available.
+func (b *Base) Access(addr uint64, write bool, done func()) {
+	b.S.Requests.Inc()
+	u := b.UnitOf(addr)
+	l := b.lookup(u)
+	start := b.Eng.Now()
+	finish := done
+	if !write {
+		finish = func() {
+			b.S.ReadLatency.Observe((b.Eng.Now() - start).Nanoseconds())
+			if done != nil {
+				done()
+			}
+		}
+	}
+	if l.N == 0 {
+		b.Eng.Schedule(b.P.CTEHitLatency, func() { b.Proto.Serve(u, addr, write, false, finish) })
+		return
+	}
+	// Lookup latency is paid before the miss is known.
+	b.Eng.Schedule(b.P.CTEHitLatency, func() {
+		proceed := func() { b.Proto.Serve(u, addr, write, true, finish) }
+		for i := 0; i < l.N; i++ {
+			var arrived func()
+			if i == l.Wait {
+				arrived = proceed
+			}
+			b.FetchCTEBlock(l.Fetch[i].Addr, l.Fetch[i].Cache, arrived)
+		}
+	})
+}
+
+// Warm implements Translator, the functional path: the same lookup, fetches
+// and Serve as Access, finishing inline with no latency, no DRAM traffic
+// and no closures. Below the Free List watermark the two paths agree on
+// every Stats counter but ReadLatency and on every level, with one
+// exception in the CTE cache: a two-block miss fills in arrival order when
+// timed and in issue order here, so when both blocks share a set their
+// recency order may differ. Under pressure the paths part further: Warm
+// compresses to the watermark inline, while timed compression takes one
+// victim per ASIC latency, interleaved with later accesses.
+//
+//dylect:hotpath
+func (b *Base) Warm(addr uint64, write bool) {
+	b.SetFunctional(true)
+	b.S.Requests.Inc()
+	u := b.UnitOf(addr)
+	l := b.lookup(u)
+	for i := 0; i < l.N; i++ {
+		b.FetchCTEBlock(l.Fetch[i].Addr, l.Fetch[i].Cache, nil)
+	}
+	b.Proto.Serve(u, addr, write, l.N > 0, nil)
+	b.SetFunctional(false)
+}
+
 // NumUnits returns the number of translation units.
 func (b *Base) NumUnits() uint64 { return b.nUnits }
 
@@ -425,16 +585,6 @@ func (b *Base) PreGatheredBlockAddr(p uint64) uint64 { return b.preGatherBase + 
 //
 //dylect:hotpath
 func (b *Base) CounterBlockAddr(p uint64) uint64 { return b.counterBase + p*5/8/64*64 }
-
-// After runs fn after a latency: inline in functional mode, scheduled on
-// the engine in timed mode.
-func (b *Base) After(d engine.Time, fn func()) {
-	if b.functionalMode {
-		fn()
-		return
-	}
-	b.Eng.Schedule(d, fn)
-}
 
 // ReadBlocks issues n sequential 64B reads starting at addr and calls done
 // (if non-nil) when the last completes. In functional mode it is free and

@@ -301,9 +301,9 @@ func (b *Base) DisplaceChunkFrame(frame uint64) bool {
 	return true
 }
 
-// MoveToSlot migrates an uncompressed unit into an already-claimed group
+// moveToSlot migrates an uncompressed unit into an already-claimed group
 // slot and switches it to a short CTE (ML0).
-func (b *Base) MoveToSlot(u, slot uint64) {
+func (b *Base) moveToSlot(u, slot uint64) {
 	st := &b.units[u]
 	b.moveUnitFrame(u, slot)
 	st.level = ML0
@@ -313,11 +313,11 @@ func (b *Base) MoveToSlot(u, slot uint64) {
 	b.emitLevel("promote", u, ML1, ML0, "slot-claim")
 }
 
-// DisplaceAndClaim evicts the data-frame occupant of slot to a Free List
+// displaceAndClaim evicts the data-frame occupant of slot to a Free List
 // frame and moves u in with a short CTE — the unconditional double movement
 // of the naive design (Section IV-A1). It reports success; chunk frames and
 // busy occupants are not movable.
-func (b *Base) DisplaceAndClaim(u, slot uint64) bool {
+func (b *Base) displaceAndClaim(u, slot uint64) bool {
 	owner := b.ownerUnit[slot]
 	if owner < 0 || uint64(owner) == u {
 		return false
@@ -349,8 +349,40 @@ func (b *Base) DisplaceAndClaim(u, slot uint64) bool {
 	if !b.Space.AllocSpecificFrame(slot) {
 		return false
 	}
-	b.MoveToSlot(u, slot)
+	b.moveToSlot(u, slot)
 	return true
+}
+
+// ClaimGroupSlot moves a freshly expanded ML1 unit into its DRAM page group
+// whatever the occupants' heat: a free slot if one exists (one movement),
+// else a slot whose occupant it displaces — a chunk frame's compressed
+// residents or an uncompressed page — paying the double movement of
+// Section IV-A1. The naive design places every expansion this way, as does
+// DyLeCT's DirectToML0 ablation. With no claimable slot the unit stays in
+// ML1.
+func (b *Base) ClaimGroupSlot(u uint64) {
+	if b.units[u].level != ML1 {
+		return
+	}
+	slots := b.GroupSlots(u)
+	for _, s := range slots {
+		if b.Space.FrameIsFree(s) && b.Space.AllocSpecificFrame(s) {
+			b.moveToSlot(u, s)
+			return
+		}
+	}
+	for _, s := range slots {
+		if b.FrameHoldsChunks(s) {
+			if b.DisplaceChunkFrame(s) && b.units[u].level == ML1 && b.Space.AllocSpecificFrame(s) {
+				b.moveToSlot(u, s)
+				return
+			}
+			continue
+		}
+		if b.displaceAndClaim(u, s) {
+			return
+		}
+	}
 }
 
 // ShortCTEFrame computes the frame an ML0 unit lives in from its short CTE

@@ -41,7 +41,7 @@ func New(p mc.Params) *Controller {
 	if shortLines < 8 {
 		shortLines = 8
 	}
-	return &Controller{
+	c := &Controller{
 		Base: b,
 		shortCache: cache.New(cache.Config{
 			SizeBytes: shortLines * shortLineBytes, LineBytes: shortLineBytes, Assoc: 8,
@@ -50,16 +50,8 @@ func New(p mc.Params) *Controller {
 			SizeBytes: half &^ 7, LineBytes: 8, Assoc: 8,
 		}),
 	}
-}
-
-// Stats implements mc.Translator.
-func (c *Controller) Stats() *mc.Stats { return &c.S }
-
-// Warm implements mc.Translator.
-func (c *Controller) Warm(addr uint64, write bool) {
-	c.SetFunctional(true)
-	c.Access(addr, write, nil)
-	c.SetFunctional(false)
+	c.Proto = c
+	return c
 }
 
 // shortKey addresses the gathered line covering unit u's group of 8.
@@ -68,97 +60,46 @@ func (c *Controller) shortKey(u uint64) uint64 { return u / 8 * shortLineBytes }
 // longKey addresses unit u's entry in the long-CTE cache namespace.
 func (c *Controller) longKey(u uint64) uint64 { return u * 8 }
 
-// Access implements mc.Translator.
-func (c *Controller) Access(addr uint64, write bool, done func()) {
-	c.S.Requests.Inc()
-	u := c.UnitOf(addr)
-
-	if c.Functional() {
-		c.accessFunctional(u, addr, write, done)
-		return
+// Lookup implements mc.Protocol: uncompressed units probe the short cache,
+// compressed ones the long cache; a miss fetches the unified block, which
+// neither cache stores whole.
+//
+//dylect:hotpath
+func (c *Controller) Lookup(u uint64) mc.Lookup {
+	var hit bool
+	if c.Level(u) != mc.ML2 {
+		hit = c.shortCache.Access(c.shortKey(u), false)
+	} else {
+		hit = c.longCache.Access(c.longKey(u), false)
 	}
+	if hit || c.P.PerfectCTE {
+		return mc.Lookup{}
+	}
+	return mc.Miss(c.UnifiedBlockAddr(u), false)
+}
 
-	start := c.Eng.Now()
-	finish := done
-	if !write {
-		finish = func() {
-			c.S.ReadLatency.Observe((c.Eng.Now() - start).Nanoseconds())
-			if done != nil {
-				done()
-			}
+// Serve implements mc.Protocol. A fetched unified block is first gathered:
+// its short CTEs into the short cache, and the long CTE that was used into
+// the long cache. Expansions then suffer the double-movement problem: the
+// expanded page must land in one of its group's frames, so a current
+// occupant is first displaced to a Free List frame.
+func (c *Controller) Serve(u, addr uint64, write, fetched bool, finish func()) {
+	if fetched {
+		c.shortCache.Fill(c.shortKey(u), false)
+		if c.Level(u) == mc.ML2 {
+			c.longCache.Fill(c.longKey(u), false)
 		}
 	}
-	proceed := func() { c.serve(u, addr, write, finish) }
-
-	var hit bool
-	if c.Level(u) != mc.ML2 {
-		hit = c.shortCache.Access(c.shortKey(u), false)
-	} else {
-		hit = c.longCache.Access(c.longKey(u), false)
-	}
-	if c.P.PerfectCTE {
-		hit = true
-	}
-	if hit {
-		c.S.CTEHits.Inc()
-		c.After(c.P.CTEHitLatency, proceed)
-		return
-	}
-	c.S.CTEMisses.Inc()
-	c.After(c.P.CTEHitLatency, func() {
-		c.FetchCTEBlock(c.UnifiedBlockAddr(u), false, func() {
-			// Gather the block's short CTEs into the short cache and
-			// insert the long CTE that was used.
-			c.shortCache.Fill(c.shortKey(u), false)
-			if c.Level(u) == mc.ML2 {
-				c.longCache.Fill(c.longKey(u), false)
-			}
-			proceed()
-		})
-	})
-}
-
-// accessFunctional is the warmup fast path: the same cache-probe and fill
-// sequence as Access with the inline-in-functional-mode After() calls (and
-// their closures) removed.
-func (c *Controller) accessFunctional(u, addr uint64, write bool, done func()) {
-	var hit bool
-	if c.Level(u) != mc.ML2 {
-		hit = c.shortCache.Access(c.shortKey(u), false)
-	} else {
-		hit = c.longCache.Access(c.longKey(u), false)
-	}
-	if c.P.PerfectCTE {
-		hit = true
-	}
-	if hit {
-		c.S.CTEHits.Inc()
-		c.serve(u, addr, write, done)
-		return
-	}
-	c.S.CTEMisses.Inc()
-	c.FetchCTEBlock(c.UnifiedBlockAddr(u), false, nil)
-	c.shortCache.Fill(c.shortKey(u), false)
-	if c.Level(u) == mc.ML2 {
-		c.longCache.Fill(c.longKey(u), false)
-	}
-	c.serve(u, addr, write, done)
-}
-
-// serve performs the data access. Expansions suffer the double-movement
-// problem: the expanded page must land in one of its group's frames, so a
-// current occupant is first displaced to a Free List frame.
-func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
 	c.TouchRecency(u)
 	if c.Level(u) == mc.ML2 {
 		if write {
-			c.ExpandUnit(u, func() { c.displaceIntoGroup(u) })
+			c.ExpandUnit(u, func() { c.ClaimGroupSlot(u) })
 			if finish != nil {
 				finish()
 			}
 		} else {
 			c.ExpandUnit(u, func() {
-				c.displaceIntoGroup(u)
+				c.ClaimGroupSlot(u)
 				if finish != nil {
 					finish()
 				}
@@ -170,47 +111,5 @@ func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
 	c.CheckPressure()
 }
 
-// displaceIntoGroup forces a freshly expanded unit into its DRAM page
-// group, displacing an occupant when every slot is taken (the second page
-// movement of Section IV-A1).
-func (c *Controller) displaceIntoGroup(u uint64) {
-	if c.Level(u) != mc.ML1 {
-		return
-	}
-	slots := c.GroupSlots(u)
-	// Free slot: single movement.
-	for _, s := range slots {
-		if c.Space.FrameIsFree(s) {
-			if c.Space.AllocSpecificFrame(s) {
-				c.MoveToSlot(u, s)
-				return
-			}
-		}
-	}
-	// Displace an occupant: chunk frames move their compressed residents,
-	// data frames move the uncompressed page — either way the expansion
-	// pays the double movement of Section IV-A1.
-	for _, s := range slots {
-		if c.FrameHoldsChunks(s) {
-			if !c.DisplaceChunkFrame(s) || c.Level(u) != mc.ML1 {
-				continue
-			}
-			if c.Space.AllocSpecificFrame(s) {
-				c.MoveToSlot(u, s)
-				return
-			}
-			continue
-		}
-		owner := c.FrameOwner(s)
-		if owner < 0 || uint64(owner) == u {
-			continue
-		}
-		if c.DisplaceAndClaim(u, s) {
-			return
-		}
-	}
-	// No usable slot: the page stays with a long CTE (still counted by the
-	// short cache path; the design wastes the slot).
-}
-
 var _ mc.Translator = (*Controller)(nil)
+var _ mc.Protocol = (*Controller)(nil)

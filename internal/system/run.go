@@ -268,8 +268,14 @@ type Machine struct {
 	dramBytes uint64
 }
 
+// maxRanks bounds Options.Ranks: the paper's largest system, the bigger
+// conventional memory of Figure 24, has 16.
+const maxRanks = 16
+
 // Build assembles the cell's system: DRAM sized for the setting, the
-// translator under test, the page table and the per-core generators.
+// translator under test, the page table and the per-core generators. Options
+// out of range (ranks, or translator geometry that mc.Params.Validate
+// rejects) return an error, not a panic.
 func Build(opts Options) (*Machine, error) {
 	if opts.ScaleDivisor == 0 {
 		opts.ScaleDivisor = 1
@@ -288,6 +294,9 @@ func Build(opts Options) (*Machine, error) {
 	if w.FootprintBytes == 0 {
 		return nil, fmt.Errorf("system: workload %q footprint scaled away (divisor %d, floor %d)",
 			w.Name, opts.ScaleDivisor, opts.FootprintFloor)
+	}
+	if opts.Ranks < 0 || opts.Ranks > maxRanks {
+		return nil, fmt.Errorf("system: %d ranks outside [0, %d] (0 = default)", opts.Ranks, maxRanks)
 	}
 	ranks := opts.Ranks
 	if ranks == 0 {
@@ -322,6 +331,9 @@ func Build(opts Options) (*Machine, error) {
 		FreeTargetBytes: freeTarget,
 		Obs:             opts.Obs,
 	}
+	if err := params.Validate(); err != nil {
+		return nil, fmt.Errorf("system: %w", err)
+	}
 	switch opts.Design {
 	case DesignNoComp:
 		tr = mc.NewNoComp(eng, d, w.FootprintBytes)
@@ -335,6 +347,8 @@ func Build(opts Options) (*Machine, error) {
 		tr = core.New(params, dcfg)
 	case DesignNaive:
 		tr = naive.New(params)
+	default:
+		return nil, fmt.Errorf("system: unknown design %v", opts.Design)
 	}
 
 	gens := make([]trace.Generator, cfg.Cores)

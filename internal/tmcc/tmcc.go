@@ -26,64 +26,30 @@ type Controller struct {
 // New builds a TMCC controller. Params.WithDyLeCTTables is forced off.
 func New(p mc.Params) *Controller {
 	p.WithDyLeCTTables = false
-	return &Controller{Base: mc.NewBase(p)}
+	c := &Controller{Base: mc.NewBase(p)}
+	c.Proto = c
+	return c
 }
 
-// Stats implements mc.Translator.
-func (c *Controller) Stats() *mc.Stats { return &c.S }
-
-// Warm implements mc.Translator: the functional-warmup path.
-func (c *Controller) Warm(addr uint64, write bool) {
-	c.SetFunctional(true)
-	c.Access(addr, write, nil)
-	c.SetFunctional(false)
-}
-
-// Access implements mc.Translator: translate through the CTE cache, expand
-// compressed units on demand, and perform the data access.
-func (c *Controller) Access(addr uint64, write bool, done func()) {
-	c.S.Requests.Inc()
-	u := c.UnitOf(addr)
-
-	if c.Functional() {
-		c.accessFunctional(u, addr, write, done)
-		return
+// Lookup implements mc.Protocol: one unified-table block holds the entries
+// of eight units and is cached when fetched.
+//
+//dylect:hotpath
+func (c *Controller) Lookup(u uint64) mc.Lookup {
+	if c.P.PerfectCTE {
+		return mc.Lookup{}
 	}
-
-	start := c.Eng.Now()
-	finish := done
-	if !write {
-		finish = func() {
-			c.S.ReadLatency.Observe((c.Eng.Now() - start).Nanoseconds())
-			if done != nil {
-				done()
-			}
-		}
-	}
-
-	proceed := func() { c.serve(u, addr, write, finish) }
-
 	blk := c.UnifiedBlockAddr(u)
-	switch {
-	case c.P.PerfectCTE:
-		c.S.CTEHits.Inc()
-		c.After(c.P.CTEHitLatency, proceed)
-	case c.CTE.Access(blk, false):
-		c.S.CTEHits.Inc()
-		c.S.UnifiedHits.Inc()
-		c.After(c.P.CTEHitLatency, proceed)
-	default:
-		c.S.CTEMisses.Inc()
-		// Lookup latency is paid before the miss is known.
-		c.After(c.P.CTEHitLatency, func() {
-			c.FetchCTEBlock(blk, true, proceed)
-		})
+	if !c.CTE.Access(blk, false) {
+		return mc.Miss(blk, true)
 	}
+	c.S.UnifiedHits.Inc()
+	return mc.Lookup{}
 }
 
-// serve runs after translation: Recency-List maintenance, demand expansion
+// Serve implements mc.Protocol: Recency-List maintenance, demand expansion
 // of compressed units, and the data access itself.
-func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
+func (c *Controller) Serve(u, addr uint64, write, _ bool, finish func()) {
 	c.TouchRecency(u)
 	if c.Level(u) == mc.ML2 {
 		if write {
@@ -100,25 +66,6 @@ func (c *Controller) serve(u, addr uint64, write bool, finish func()) {
 		c.DataAccess(addr, write, finish)
 	}
 	c.CheckPressure()
-}
-
-// accessFunctional is the warmup fast path: the same lookup sequence as
-// Access with the inline-in-functional-mode After() calls (and their
-// closures) removed. Counter increments, CTE-cache touches, and fill order
-// are identical.
-func (c *Controller) accessFunctional(u, addr uint64, write bool, done func()) {
-	blk := c.UnifiedBlockAddr(u)
-	switch {
-	case c.P.PerfectCTE:
-		c.S.CTEHits.Inc()
-	case c.CTE.Access(blk, false):
-		c.S.CTEHits.Inc()
-		c.S.UnifiedHits.Inc()
-	default:
-		c.S.CTEMisses.Inc()
-		c.FetchCTEBlock(blk, true, nil)
-	}
-	c.serve(u, addr, write, done)
 }
 
 // WalkHint implements the PTB-embedding optimization (Section II-B): the
@@ -152,4 +99,5 @@ func (c *Controller) AuditInvariants() []invariant.Violation {
 }
 
 var _ mc.Translator = (*Controller)(nil)
+var _ mc.Protocol = (*Controller)(nil)
 var _ invariant.Auditable = (*Controller)(nil)
