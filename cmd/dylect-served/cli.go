@@ -49,6 +49,10 @@ type modeExt struct {
 	configure func(ctx context.Context, b *bootState) error
 }
 
+// testHookServing, when set, runs once the HTTP server has started and
+// before the process waits for cancellation or a server failure.
+var testHookServing func(ln net.Listener, serveErr <-chan error)
+
 // serverCLI runs the service until ctx is canceled, then drains and exits.
 // It returns a process exit code; main stays a thin shell so the whole
 // command is testable.
@@ -221,11 +225,23 @@ func servedCLI(ctx context.Context, args []string, out, errOut io.Writer, ext *m
 	hs := &http.Server{Handler: mux}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
+	if testHookServing != nil {
+		testHookServing(ln, serveErr)
+	}
 
+	// A server that stops on its own fails the process, unless shutdown was
+	// already requested: when both are ready, cancellation wins and the
+	// process drains. serveErr is received exactly once, here or after
+	// Shutdown.
+	var stopErr error
+	stopped := false
 	select {
-	case err := <-serveErr:
-		fmt.Fprintf(errOut, "serve: %v\n", err)
-		return 1
+	case stopErr = <-serveErr:
+		stopped = true
+		if ctx.Err() == nil {
+			fmt.Fprintf(errOut, "serve: %v\n", stopErr)
+			return 1
+		}
 	case <-ctx.Done():
 	}
 
@@ -244,8 +260,11 @@ func servedCLI(ctx context.Context, args []string, out, errOut io.Writer, ext *m
 	if err := hs.Shutdown(shutCtx); err != nil {
 		fmt.Fprintf(errOut, "shutdown: %v\n", err)
 	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintf(errOut, "serve: %v\n", err)
+	if !stopped {
+		stopErr = <-serveErr
+	}
+	if stopErr != nil && !errors.Is(stopErr, http.ErrServerClosed) {
+		fmt.Fprintf(errOut, "serve: %v\n", stopErr)
 	}
 	if clean {
 		fmt.Fprintln(errOut, "drained cleanly")

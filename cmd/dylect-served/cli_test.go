@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"net"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -178,5 +180,29 @@ func TestTopDashboard(t *testing.T) {
 	// The structured log recorded the request as JSON with its span fields.
 	if !strings.Contains(srvErr.String(), `"code":"ok"`) || !strings.Contains(srvErr.String(), `"span_queue_ms"`) {
 		t.Errorf("JSON request log missing:\n%s", srvErr.String())
+	}
+}
+
+// TestServeCancelWinsOverServeError readies both of the server's wake-ups
+// before it waits — the listener has failed and the context is canceled —
+// and requires cancellation to win: a drain, "drained cleanly" and exit 0,
+// on every run (the stress step repeats it 200 times).
+func TestServeCancelWinsOverServeError(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	testHookServing = func(ln net.Listener, serveErr <-chan error) {
+		ln.Close()
+		for len(serveErr) == 0 {
+			runtime.Gosched()
+		}
+		cancel()
+	}
+	defer func() { testHookServing = nil }()
+	var out, errOut syncBuf
+	if code := serverCLI(ctx, []string{"-addr", "127.0.0.1:0", "-quick"}, &out, &errOut); code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errOut.String())
+	}
+	if !strings.Contains(errOut.String(), "drained cleanly") {
+		t.Fatalf("no clean drain; stderr:\n%s", errOut.String())
 	}
 }

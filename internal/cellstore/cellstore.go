@@ -340,7 +340,16 @@ func EncodeEnvelope(schema, key string, payload []byte) ([]byte, error) {
 		SHA256:  hex.EncodeToString(sum[:]),
 		Payload: json.RawMessage(compact.Bytes()),
 	}
-	return json.Marshal(&env)
+	// No HTML escaping: the checksum covers the compacted payload as is,
+	// and escaping <, >, & or U+2028/U+2029 inside it would change those
+	// bytes and fail verification.
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(&env); err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(out.Bytes(), []byte("\n")), nil
 }
 
 // DecodeEnvelope verifies an envelope received off the wire — parse, format,

@@ -83,15 +83,15 @@ func TestReopenServesVerifiedRecords(t *testing.T) {
 var corruptions = []struct {
 	name   string
 	reason string
-	mutate func(t *testing.T, path string)
+	mutate func(t testing.TB, path string)
 }{
-	{"truncated", ReasonUnparsable, func(t *testing.T, path string) {
+	{"truncated", ReasonUnparsable, func(t testing.TB, path string) {
 		data, _ := os.ReadFile(path)
 		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}},
-	{"payload-bit-flip", ReasonChecksum, func(t *testing.T, path string) {
+	{"payload-bit-flip", ReasonChecksum, func(t testing.TB, path string) {
 		data, _ := os.ReadFile(path)
 		i := bytes.Index(data, []byte(`"payload":`))
 		if i < 0 {
@@ -104,7 +104,7 @@ var corruptions = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"checksum-bit-flip", ReasonChecksum, func(t *testing.T, path string) {
+	{"checksum-bit-flip", ReasonChecksum, func(t testing.TB, path string) {
 		data, _ := os.ReadFile(path)
 		i := bytes.Index(data, []byte(`"sha256":"`))
 		if i < 0 {
@@ -120,12 +120,12 @@ var corruptions = []struct {
 			t.Fatal(err)
 		}
 	}},
-	{"empty-file", ReasonEmpty, func(t *testing.T, path string) {
+	{"empty-file", ReasonEmpty, func(t testing.TB, path string) {
 		if err := os.WriteFile(path, nil, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}},
-	{"schema-mismatch", ReasonSchema, func(t *testing.T, path string) {
+	{"schema-mismatch", ReasonSchema, func(t testing.TB, path string) {
 		data, _ := os.ReadFile(path)
 		out := bytes.Replace(data, []byte(`"schema":"test/1"`), []byte(`"schema":"test/0"`), 1)
 		if bytes.Equal(out, data) {

@@ -11,18 +11,17 @@ import (
 // the generation-stamped service closure armed per wakeup, which is load-
 // bearing (it lets a re-arm invalidate an already-scheduled pass) and
 // cannot be pooled without changing service timing. Everything else —
-// queue push, bank pick, burst issue, stats — must be allocation-free.
+// copying the request into a recycled slot, linking it into its bank's
+// list, the bank pick, burst issue, stats — must be allocation-free once
+// the slot pool has grown to the queue's depth.
 
 func TestSubmitServiceAllocBudget(t *testing.T) {
 	eng := engine.New()
 	c := NewController(eng, testConfig())
-	req := &Request{}
 	var addr uint64
 	if n := testing.AllocsPerRun(1000, func() {
 		addr += 4096
-		req.Addr = addr % c.Config().TotalBytes()
-		req.Done = nil
-		c.Submit(req)
+		c.Submit(Request{Addr: addr % c.Config().TotalBytes()})
 		eng.Run()
 	}); n > 1 {
 		t.Fatalf("Submit+drain allocated %.2f/op, budget is 1 (the armed service closure)", n)
@@ -35,19 +34,15 @@ func TestSubmitBatchAllocBudget(t *testing.T) {
 	// A batch drains in fewer service passes than it has requests, so the
 	// per-batch allocation count (one arm closure per pass) must stay
 	// strictly below one per request: Submit itself is allocation-free.
-	reqs := make([]*Request, 4)
-	for i := range reqs {
-		reqs[i] = &Request{}
-	}
+	const batch = 4
 	var addr uint64
 	if n := testing.AllocsPerRun(1000, func() {
-		for i, r := range reqs {
+		for i := 0; i < batch; i++ {
 			addr += 4096
-			r.Addr = (addr + uint64(i)*64) % c.Config().TotalBytes()
-			c.Submit(r)
+			c.Submit(Request{Addr: (addr + uint64(i)*64) % c.Config().TotalBytes()})
 		}
 		eng.Run()
-	}); n >= float64(len(reqs)) {
-		t.Fatalf("%dx Submit+drain allocated %.2f/op, want fewer than one per request", len(reqs), n)
+	}); n >= batch {
+		t.Fatalf("%dx Submit+drain allocated %.2f/op, want fewer than one per request", batch, n)
 	}
 }

@@ -12,6 +12,7 @@ package dram
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dylect/internal/engine"
 	"dylect/internal/stats"
@@ -60,9 +61,6 @@ type Request struct {
 	Background bool
 	// Done, if non-nil, runs when the data burst completes.
 	Done func(now engine.Time)
-
-	enq engine.Time
-	loc location
 }
 
 type location struct {
@@ -211,59 +209,88 @@ type bank struct {
 	hitStreak int
 }
 
-// reqQueue is one scheduling queue with lazy removal.
+// slot is the controller's copy of one queued request.
+type slot struct {
+	done  func(now engine.Time)
+	enq   engine.Time
+	row   int64 // compared with bank.openRow
+	class Class
+	bank  int32 // global bank index within the channel
+	next  int32 // next slot in the same bank list or in the free list; -1 ends it
+	write bool
+}
+
+// slotShift sizes the slot pool's pages: 256 slots, 12 KiB.
+const slotShift = 8
+
+// bankQueue is one bank's window requests in one queue: slots linked
+// through slot.next in arrival order.
+type bankQueue struct {
+	head, tail int32 // -1 when empty
+	n          int32 // requests linked
+	hits       int32 // of which hit the bank's open row
+}
+
+// reqQueue is one scheduling queue, indexed by bank. Its first QueueWindow
+// live requests in arrival order (all of them when QueueWindow is 0) form
+// the scheduling window and sit in per-bank lists; later arrivals wait in
+// overflow and join the window, in order, as window requests issue. busy
+// has bit b set while bank b has window requests, so a decision visits only
+// the banks with work.
 type reqQueue struct {
-	queue []*Request // issued entries are nilled; head skips them
-	head  int
-	live  int
+	banks    []bankQueue
+	busy     []uint64
+	window   int // requests in the bank lists
+	overflow ring
 }
 
-//dylect:hotpath
-func (q *reqQueue) push(r *Request) {
-	//lint:ignore hotalloc queue backing array growth is amortized; steady state reuses freed capacity
-	q.queue = append(q.queue, r)
-	q.live++
-}
+func (q *reqQueue) live() int { return q.window + q.overflow.n }
 
-// forEachPending visits up to `window` live requests in FCFS order, passing
-// their absolute queue positions. Visiting stops early if f returns false.
+// nextBusy returns the first bank at or after b with window requests, or -1.
 //
 //dylect:hotpath
-func (q *reqQueue) forEachPending(window int, f func(pos int, r *Request) bool) {
-	count := 0
-	for i := q.head; i < len(q.queue); i++ {
-		r := q.queue[i]
-		if r == nil {
-			continue
-		}
-		if !f(i, r) {
-			return
-		}
-		count++
-		if window > 0 && count >= window {
-			return
-		}
+func (q *reqQueue) nextBusy(b int) int {
+	w := b >> 6
+	if w >= len(q.busy) {
+		return -1
 	}
+	word := q.busy[w] &^ (1<<(b&63) - 1)
+	for word == 0 {
+		w++
+		if w == len(q.busy) {
+			return -1
+		}
+		word = q.busy[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
-// remove nils the request at absolute queue position pos and
-// advances/compacts the head.
-//
-//dylect:hotpath
-func (q *reqQueue) remove(pos int) {
-	q.queue[pos] = nil
-	q.live--
-	for q.head < len(q.queue) && q.queue[q.head] == nil {
-		q.head++
-	}
-	if q.head > 4096 && q.head*2 > len(q.queue) {
-		n := copy(q.queue, q.queue[q.head:])
-		for j := n; j < len(q.queue); j++ {
-			q.queue[j] = nil
+// ring is a FIFO of slot indices whose buffer doubles when full, so it
+// holds at most the deepest overflow seen.
+type ring struct {
+	buf  []int32 // length zero or a power of two
+	head int
+	n    int
+}
+
+func (r *ring) push(s int32) {
+	if r.n == len(r.buf) {
+		buf := make([]int32, max(16, 2*len(r.buf)))
+		for i := range r.n {
+			buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 		}
-		q.queue = q.queue[:n]
-		q.head = 0
+		r.buf, r.head = buf, 0
 	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
+	r.n++
+}
+
+//dylect:hotpath
+func (r *ring) pop() int32 {
+	s := r.buf[r.head]
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return s
 }
 
 // channel keeps demand traffic and background maintenance traffic
@@ -286,7 +313,7 @@ type channel struct {
 	wakeGen uint64
 }
 
-func (ch *channel) live() int { return ch.fg.live + ch.bg.live }
+func (ch *channel) live() int { return ch.fg.live() + ch.bg.live() }
 
 // Controller is the DRAM memory device model: it accepts Requests and
 // completes them according to bank timing, bus occupancy and scheduling
@@ -297,19 +324,32 @@ type Controller struct {
 	cfg   Config
 	chans []*channel
 	stats Stats
+	// The slot pool: queued requests live in fixed-size pages, so growing
+	// it never moves a slot, and a slot is reused once its request issues.
+	pages [][]slot
+	used  int   // slots handed out so far
+	free  int32 // head of the free-slot list, -1 when empty
 }
 
 // NewController builds a controller on the given engine.
 func NewController(eng *engine.Engine, cfg Config) *Controller {
-	c := &Controller{eng: eng, cfg: cfg}
+	c := &Controller{eng: eng, cfg: cfg, free: -1}
 	c.chans = make([]*channel, cfg.Channels)
+	nbanks := cfg.RanksPerChannel * cfg.BanksPerRank
 	for i := range c.chans {
 		ch := &channel{
-			banks:     make([]bank, cfg.RanksPerChannel*cfg.BanksPerRank),
+			banks:     make([]bank, nbanks),
 			refreshAt: make([]engine.Time, cfg.RanksPerChannel),
 		}
 		for b := range ch.banks {
 			ch.banks[b].openRow = -1
+		}
+		for _, q := range []*reqQueue{&ch.fg, &ch.bg} {
+			q.banks = make([]bankQueue, nbanks)
+			for b := range q.banks {
+				q.banks[b].head, q.banks[b].tail = -1, -1
+			}
+			q.busy = make([]uint64, (nbanks+63)/64)
 		}
 		c.chans[i] = ch
 	}
@@ -337,9 +377,11 @@ func (c *Controller) StartRefresh(horizon engine.Time) {
 				now := c.eng.Now()
 				ch.refreshAt[r] = now + c.cfg.TRFC
 				base := r * c.cfg.BanksPerRank
-				for b := 0; b < c.cfg.BanksPerRank; b++ {
-					bk := &ch.banks[base+b]
+				for b := base; b < base+c.cfg.BanksPerRank; b++ {
+					bk := &ch.banks[b]
 					bk.openRow = -1
+					ch.fg.banks[b].hits = 0
+					ch.bg.banks[b].hits = 0
 					if bk.readyAt < ch.refreshAt[r] {
 						bk.readyAt = ch.refreshAt[r]
 					}
@@ -354,23 +396,121 @@ func (c *Controller) StartRefresh(horizon engine.Time) {
 	}
 }
 
-// Submit enqueues a request. The Done callback fires when its data burst
-// finishes.
+// Submit enqueues a copy of req. The Done callback fires when its data
+// burst finishes.
 //
 //dylect:hotpath
-func (c *Controller) Submit(req *Request) {
-	req.enq = c.eng.Now()
-	req.loc = c.cfg.Decode(req.Addr)
-	ch := c.chans[req.loc.channel]
+func (c *Controller) Submit(req Request) {
+	loc := c.cfg.Decode(req.Addr)
+	s := c.alloc()
+	*c.slot(s) = slot{
+		done: req.Done, enq: c.eng.Now(), row: int64(loc.row), bank: int32(loc.bank),
+		class: req.Class, write: req.Write,
+	}
+	ci := loc.channel
+	ch := c.chans[ci]
+	q := &ch.fg
 	if req.Background {
-		ch.bg.push(req)
+		q = &ch.bg
+	}
+	if c.cfg.QueueWindow == 0 || q.window < c.cfg.QueueWindow {
+		c.link(ch, q, s)
 	} else {
-		ch.fg.push(req)
+		q.overflow.push(s)
 	}
 	if ch.live() > c.stats.QueuePeak {
 		c.stats.QueuePeak = ch.live()
 	}
-	c.kick(req.loc.channel)
+	c.kick(ci)
+}
+
+//dylect:hotpath
+func (c *Controller) slot(s int32) *slot { return &c.pages[s>>slotShift][s&(1<<slotShift-1)] }
+
+// alloc returns a free slot, adding a page only when every slot holds a
+// queued request.
+func (c *Controller) alloc() int32 {
+	if s := c.free; s >= 0 {
+		c.free = c.slot(s).next
+		return s
+	}
+	if c.used == len(c.pages)<<slotShift {
+		c.pages = append(c.pages, make([]slot, 1<<slotShift))
+	}
+	c.used++
+	return int32(c.used - 1)
+}
+
+// link appends slot s to its bank's list in q's window.
+//
+//dylect:hotpath
+func (c *Controller) link(ch *channel, q *reqQueue, s int32) {
+	r := c.slot(s)
+	r.next = -1
+	b := int(r.bank)
+	bq := &q.banks[b]
+	if bq.tail < 0 {
+		bq.head = s
+		q.busy[b>>6] |= 1 << (b & 63)
+	} else {
+		c.slot(bq.tail).next = s
+	}
+	bq.tail = s
+	bq.n++
+	if ch.banks[b].openRow == r.row {
+		bq.hits++
+	}
+	q.window++
+}
+
+// take unlinks bank b's earliest window request in q that hits its open
+// row (hit) or misses it (!hit), lets the oldest overflow request into the
+// window, and returns the slot.
+//
+//dylect:hotpath
+func (c *Controller) take(ch *channel, q *reqQueue, b int, hit bool) int32 {
+	bq := &q.banks[b]
+	open := ch.banks[b].openRow
+	prev, s := int32(-1), bq.head
+	for (open == c.slot(s).row) != hit {
+		prev, s = s, c.slot(s).next
+	}
+	next := c.slot(s).next
+	if prev < 0 {
+		bq.head = next
+	} else {
+		c.slot(prev).next = next
+	}
+	if bq.tail == s {
+		bq.tail = prev
+	}
+	bq.n--
+	if hit {
+		bq.hits--
+	}
+	if bq.n == 0 {
+		q.busy[b>>6] &^= 1 << (b & 63)
+	}
+	q.window--
+	if q.overflow.n > 0 {
+		c.link(ch, q, q.overflow.pop())
+	}
+	return s
+}
+
+// countHits recounts bank b's window requests that hit its (new) open row.
+//
+//dylect:hotpath
+func (c *Controller) countHits(ch *channel, b int) {
+	open := ch.banks[b].openRow
+	for _, bq := range [2]*bankQueue{&ch.fg.banks[b], &ch.bg.banks[b]} {
+		bq.hits = 0
+		for s := bq.head; s >= 0; s = c.slot(s).next {
+			if open == c.slot(s).row {
+				bq.hits++
+			}
+		}
+	}
 }
 
 func (c *Controller) kick(ci int) {
@@ -406,93 +546,106 @@ func (c *Controller) service(ci int) {
 	ch := c.chans[ci]
 	now := c.eng.Now()
 	for ch.live() > 0 {
-		q := &ch.fg
-		pos := c.pick(ch, q, now)
-		if pos < 0 {
-			q = &ch.bg
-			pos = c.pick(ch, q, now)
+		s := c.pick(ch, &ch.fg, now)
+		if s < 0 {
+			s = c.pick(ch, &ch.bg, now)
 		}
-		if pos < 0 {
+		if s < 0 {
 			break
 		}
-		req := q.queue[pos]
-		q.remove(pos)
-		c.issue(ch, req, now)
+		c.issue(ch, s, now)
 	}
 	if ch.live() > 0 {
 		c.armService(ci, c.nextReady(ch, now))
 	}
 }
 
-// pick implements FR-FCFS within one queue: a row-hit streak cap and bank
-// fairness via a rotating start bank. It returns the queue index of the
-// request to issue now, or -1 if no bank is ready.
+// pick implements FR-FCFS over q's window, with a row-hit streak cap and
+// bank fairness, and takes the winner out of the queue. A request is
+// eligible when its bank and rank are ready. An open-row hit under the
+// streak cap scores 5, any other request 1, a capped hit 0 (so a streak
+// cannot starve a conflicting request); the highest score wins, ties go to
+// the bank nearest after lastBank, then to the earliest arrival. Every
+// window request of a bank shares its readiness, and its score depends only
+// on whether it hits the open row, so visiting the busy banks in fairness
+// order finds the same winner: the first uncapped bank with hits, else the
+// first bank with a request that misses, else the first bank of capped
+// hits. pick returns the winner's slot, or -1 if no bank is ready.
 //
 //dylect:hotpath
-func (c *Controller) pick(ch *channel, q *reqQueue, now engine.Time) int {
-	best := -1
-	bestScore := -1
-	//lint:ignore hotalloc the scan closure captures only stack variables and does not escape; gc keeps it on the stack
-	q.forEachPending(c.cfg.QueueWindow, func(i int, req *Request) bool {
-		bk := &ch.banks[req.loc.bank]
-		if bk.readyAt > now || ch.refreshAt[req.loc.rank] > now {
-			return true
+func (c *Controller) pick(ch *channel, q *reqQueue, now engine.Time) int32 {
+	n := len(ch.banks)
+	start := ch.lastBank + 1
+	if start == n {
+		start = 0
+	}
+	miss, capped := -1, -1
+	for pass := 0; pass < 2; pass++ {
+		lo, hi := start, n
+		if pass == 1 {
+			lo, hi = 0, start
 		}
-		// Base score 1 keeps every eligible candidate above the "none"
-		// sentinel; capped row hits drop below conflicting requests so a
-		// streak cannot starve them.
-		score := 1
-		if bk.openRow == int64(req.loc.row) {
-			if bk.hitStreak < c.cfg.RowHitCap {
-				score += 4 // first-ready: row hits win
-			} else {
-				score-- // capped streak: let a conflicting request through
+		for b := q.nextBusy(lo); b >= 0 && b < hi; b = q.nextBusy(b + 1) {
+			bk := &ch.banks[b]
+			if bk.readyAt > now || ch.refreshAt[b/c.cfg.BanksPerRank] > now {
+				continue
+			}
+			bq := &q.banks[b]
+			switch {
+			case bq.hits > 0 && bk.hitStreak < c.cfg.RowHitCap:
+				return c.take(ch, q, b, true)
+			case bq.hits < bq.n:
+				if miss < 0 {
+					miss = b
+				}
+			case capped < 0:
+				capped = b
 			}
 		}
-		// Bank fairness: among equals, prefer banks after the last issued
-		// one, and older requests (queue order) win remaining ties.
-		if score > bestScore {
-			best, bestScore = i, score
-		} else if score == bestScore && best >= 0 {
-			bi := (req.loc.bank - ch.lastBank - 1 + len(ch.banks)) % len(ch.banks)
-			bj := (q.queue[best].loc.bank - ch.lastBank - 1 + len(ch.banks)) % len(ch.banks)
-			if bi < bj {
-				best = i
-			}
-		}
-		return true
-	})
-	return best
+	}
+	switch {
+	case miss >= 0:
+		return c.take(ch, q, miss, false)
+	case capped >= 0:
+		return c.take(ch, q, capped, true)
+	}
+	return -1
 }
 
+// nextReady returns the earliest time a bank with window requests in either
+// queue becomes ready, or one clock after now if that time has come.
+//
 //dylect:hotpath
 func (c *Controller) nextReady(ch *channel, now engine.Time) engine.Time {
 	next := engine.Time(^uint64(0))
-	//lint:ignore hotalloc the scan closure captures only stack variables and does not escape; gc keeps it on the stack
-	scan := func(_ int, req *Request) bool {
-		t := ch.banks[req.loc.bank].readyAt
-		if rt := ch.refreshAt[req.loc.rank]; rt > t {
-			t = rt
+	for w, word := range ch.fg.busy {
+		for word |= ch.bg.busy[w]; word != 0; word &= word - 1 {
+			b := w<<6 + bits.TrailingZeros64(word)
+			t := ch.banks[b].readyAt
+			if rt := ch.refreshAt[b/c.cfg.BanksPerRank]; rt > t {
+				t = rt
+			}
+			if t < next {
+				next = t
+			}
 		}
-		if t < next {
-			next = t
-		}
-		return true
 	}
-	ch.fg.forEachPending(c.cfg.QueueWindow, scan)
-	ch.bg.forEachPending(c.cfg.QueueWindow, scan)
 	if next <= now {
 		next = now + c.cfg.TCK
 	}
 	return next
 }
 
+// issue serves the request in slot s and frees the slot.
+//
 //dylect:hotpath
-func (c *Controller) issue(ch *channel, req *Request, now engine.Time) {
-	bk := &ch.banks[req.loc.bank]
+func (c *Controller) issue(ch *channel, s int32, now engine.Time) {
+	req := c.slot(s)
+	b, row := int(req.bank), req.row
+	bk := &ch.banks[b]
 	var access engine.Time
 	switch {
-	case bk.openRow == int64(req.loc.row):
+	case bk.openRow == row:
 		access = c.cfg.TCL
 		bk.hitStreak++
 		c.stats.RowHits.Inc()
@@ -507,7 +660,10 @@ func (c *Controller) issue(ch *channel, req *Request, now engine.Time) {
 		c.stats.RowMisses.Inc()
 		c.stats.Activates.Inc()
 	}
-	bk.openRow = int64(req.loc.row)
+	if bk.openRow != row {
+		bk.openRow = row
+		c.countHits(ch, b)
+	}
 
 	dataStart := now + access
 	if ch.busFree > dataStart {
@@ -516,19 +672,22 @@ func (c *Controller) issue(ch *channel, req *Request, now engine.Time) {
 	dataEnd := dataStart + c.cfg.TBurst
 	ch.busFree = dataEnd
 	bk.readyAt = dataEnd
-	ch.lastBank = req.loc.bank
+	ch.lastBank = b
 
 	c.stats.BusBusy += c.cfg.TBurst
-	if req.Write {
+	if req.write {
 		c.stats.Writes.Inc()
 	} else {
 		c.stats.Reads.Inc()
 	}
-	c.stats.ClassBursts[req.Class].Inc()
+	c.stats.ClassBursts[req.class].Inc()
 	c.stats.Latency.Observe((dataEnd - req.enq).Nanoseconds())
 
-	if req.Done != nil {
-		done := req.Done
+	done := req.done
+	req.done = nil // the free slot must not pin the callback
+	req.next = c.free
+	c.free = s
+	if done != nil {
 		//lint:ignore hotalloc one completion closure per burst is the event-driven design; it carries only two words
 		c.eng.ScheduleAt(dataEnd, func() { done(dataEnd) })
 	}

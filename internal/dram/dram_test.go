@@ -50,7 +50,7 @@ func TestSingleReadLatency(t *testing.T) {
 	eng := engine.New()
 	c := NewController(eng, testConfig())
 	var done engine.Time
-	c.Submit(&Request{Addr: 0, Done: func(now engine.Time) { done = now }})
+	c.Submit(Request{Addr: 0, Done: func(now engine.Time) { done = now }})
 	eng.Run()
 	// Closed bank: tRCD + tCL + burst.
 	want := c.cfg.TRCD + c.cfg.TCL + c.cfg.TBurst
@@ -66,8 +66,8 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	eng := engine.New()
 	c := NewController(eng, testConfig())
 	var t1, t2, t3 engine.Time
-	c.Submit(&Request{Addr: 0, Done: func(n engine.Time) { t1 = n }})
-	c.Submit(&Request{Addr: 64, Done: func(n engine.Time) { t2 = n }})
+	c.Submit(Request{Addr: 0, Done: func(n engine.Time) { t1 = n }})
+	c.Submit(Request{Addr: 64, Done: func(n engine.Time) { t2 = n }})
 	eng.Run()
 	hitGap := t2 - t1
 	// Row conflict: same bank, different row.
@@ -76,7 +76,7 @@ func TestRowHitFasterThanMiss(t *testing.T) {
 	if c.cfg.Decode(conflictAddr).bank != c.cfg.Decode(0).bank {
 		t.Fatal("test bug: conflict address not in same bank")
 	}
-	c.Submit(&Request{Addr: conflictAddr, Done: func(n engine.Time) { t3 = n }})
+	c.Submit(Request{Addr: conflictAddr, Done: func(n engine.Time) { t3 = n }})
 	eng.Run()
 	missGap := t3 - t2
 	if hitGap >= missGap {
@@ -94,8 +94,8 @@ func TestBankParallelismBeatsSerialization(t *testing.T) {
 	eng := engine.New()
 	c := NewController(eng, cfg)
 	var last engine.Time
-	c.Submit(&Request{Addr: 0, Done: func(n engine.Time) { last = n }})
-	c.Submit(&Request{Addr: cfg.RowBytes, Done: func(n engine.Time) {
+	c.Submit(Request{Addr: 0, Done: func(n engine.Time) { last = n }})
+	c.Submit(Request{Addr: cfg.RowBytes, Done: func(n engine.Time) {
 		if n > last {
 			last = n
 		}
@@ -113,9 +113,9 @@ func TestForegroundPriority(t *testing.T) {
 	c := NewController(eng, cfg)
 	var order []string
 	// Same bank, same row: scheduler picks foreground first despite queue order.
-	c.Submit(&Request{Addr: 0, Background: true, Class: ClassMigration,
+	c.Submit(Request{Addr: 0, Background: true, Class: ClassMigration,
 		Done: func(engine.Time) { order = append(order, "bg") }})
-	c.Submit(&Request{Addr: 64,
+	c.Submit(Request{Addr: 64,
 		Done: func(engine.Time) { order = append(order, "fg") }})
 	eng.Run()
 	if len(order) != 2 || order[0] != "fg" {
@@ -135,9 +135,9 @@ func TestRowHitCapYields(t *testing.T) {
 	conflict := cfg.RowBytes * uint64(cfg.Channels*cfg.BanksPerRank*cfg.RanksPerChannel)
 	for i := 0; i < 4; i++ {
 		i := i
-		c.Submit(&Request{Addr: uint64(i * 64), Done: func(engine.Time) { order = append(order, i) }})
+		c.Submit(Request{Addr: uint64(i * 64), Done: func(engine.Time) { order = append(order, i) }})
 	}
-	c.Submit(&Request{Addr: conflict, Done: func(engine.Time) { order = append(order, 99) }})
+	c.Submit(Request{Addr: conflict, Done: func(engine.Time) { order = append(order, 99) }})
 	eng.Run()
 	pos := -1
 	for i, v := range order {
@@ -158,7 +158,7 @@ func TestRefreshBlocksBank(t *testing.T) {
 	// Submit right as refresh begins.
 	var done engine.Time
 	eng.Schedule(cfg.TREFI, func() {
-		c.Submit(&Request{Addr: 0, Done: func(n engine.Time) { done = n }})
+		c.Submit(Request{Addr: 0, Done: func(n engine.Time) { done = n }})
 	})
 	eng.Run()
 	earliest := cfg.TREFI + cfg.TRFC + cfg.TRCD + cfg.TCL + cfg.TBurst
@@ -170,9 +170,9 @@ func TestRefreshBlocksBank(t *testing.T) {
 func TestTrafficClassAccounting(t *testing.T) {
 	eng := engine.New()
 	c := NewController(eng, testConfig())
-	c.Submit(&Request{Addr: 0, Class: ClassDemand})
-	c.Submit(&Request{Addr: 64, Class: ClassCTE})
-	c.Submit(&Request{Addr: 128, Class: ClassCTE, Write: true})
+	c.Submit(Request{Addr: 0, Class: ClassDemand})
+	c.Submit(Request{Addr: 64, Class: ClassCTE})
+	c.Submit(Request{Addr: 128, Class: ClassCTE, Write: true})
 	eng.Run()
 	if c.Stats().ClassBytes(ClassDemand) != 64 {
 		t.Fatalf("demand bytes = %d", c.Stats().ClassBytes(ClassDemand))
@@ -208,7 +208,7 @@ func TestUtilization(t *testing.T) {
 	eng := engine.New()
 	c := NewController(eng, testConfig())
 	for i := 0; i < 8; i++ {
-		c.Submit(&Request{Addr: uint64(i) * 64})
+		c.Submit(Request{Addr: uint64(i) * 64})
 	}
 	eng.Run()
 	u := c.Stats().Utilization(eng.Now())
@@ -226,7 +226,7 @@ func TestPropertyAllRequestsComplete(t *testing.T) {
 		want := len(addrs)
 		got := 0
 		for i, a := range addrs {
-			r := &Request{Addr: uint64(a), Done: func(engine.Time) { got++ }}
+			r := Request{Addr: uint64(a), Done: func(engine.Time) { got++ }}
 			if i < len(bg) {
 				r.Background = bg[i]
 			}
@@ -251,7 +251,7 @@ func TestPropertyMinimumLatency(t *testing.T) {
 		ok := true
 		for _, a := range addrs {
 			submitted := eng.Now()
-			c.Submit(&Request{Addr: uint64(a) * 64, Done: func(n engine.Time) {
+			c.Submit(Request{Addr: uint64(a) * 64, Done: func(n engine.Time) {
 				if n-submitted < minLat {
 					ok = false
 				}
@@ -285,7 +285,7 @@ func TestNoEventStorm(t *testing.T) {
 	const n = 20000
 	done := 0
 	for i := 0; i < n; i++ {
-		c.Submit(&Request{
+		c.Submit(Request{
 			Addr:       uint64(i*64) % cfg.TotalBytes(),
 			Background: i%4 != 0,
 			Done:       func(engine.Time) { done++ },
@@ -309,9 +309,9 @@ func TestBackgroundTrainDoesNotStarveDemand(t *testing.T) {
 	var trainEnd, demandEnd engine.Time
 	for i := 0; i < 512; i++ {
 		req := dram_trainReq(i, &trainEnd)
-		c.Submit(&req)
+		c.Submit(req)
 	}
-	c.Submit(&Request{Addr: 1 << 20, Done: func(n engine.Time) { demandEnd = n }})
+	c.Submit(Request{Addr: 1 << 20, Done: func(n engine.Time) { demandEnd = n }})
 	eng.Run()
 	if demandEnd >= trainEnd/4 {
 		t.Fatalf("demand finished at %v, train at %v: background did not yield",
@@ -338,7 +338,7 @@ func BenchmarkControllerThroughput(b *testing.B) {
 	c := NewController(eng, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Submit(&Request{Addr: uint64(i*4096) % cfg.TotalBytes()})
+		c.Submit(Request{Addr: uint64(i*4096) % cfg.TotalBytes()})
 		if c.QueueLen() > 64 {
 			eng.Run()
 		}

@@ -25,6 +25,7 @@ const (
 	CheckChunkCoverage    = "chunk-coverage"    // carved frame not fully tiled by chunks
 	CheckRecencyDesync    = "recency-desync"    // compressed unit still on the Recency List
 	CheckTableLayout      = "table-layout"      // reserved CTE/counter table layout broken
+	CheckUnitClass        = "unit-class"        // stored chunk class vs the size model disagree
 )
 
 // AuditInvariants walks the controller's complete state machine — unit
@@ -66,13 +67,18 @@ func (b *Base) auditLayout(rep *invariant.Report) {
 	}
 }
 
-// auditUnits checks every unit's level, address, ownership, residency and
-// short-CTE agreement.
+// auditUnits checks every unit's chunk class, level, address, ownership,
+// residency and short-CTE agreement. CompressUnit sizes the chunk from the
+// stored class, so the class must equal what the size model computes.
 func (b *Base) auditUnits(rep *invariant.Report) {
 	g := b.P.GroupSize
 	for u := uint64(0); u < b.nUnits; u++ {
 		st := &b.units[u]
 		ui := int64(u)
+		if want := b.unitClass(u); int(st.class) != want {
+			rep.Addf(CheckUnitClass, ui, invariant.None,
+				"stored chunk class %d, size model gives %d", st.class, want)
+		}
 		switch st.level {
 		case ML0, ML1:
 			if st.addr%b.P.Granularity != 0 {

@@ -124,6 +124,23 @@ func TestAuditDetectsStaleShortCTE(t *testing.T) {
 	requireCheck(t, b.AuditInvariants(), CheckShortCTEStale, 7)
 }
 
+// TestAuditDetectsWrongUnitClass: CompressUnit sizes the chunk from the
+// stored class, so a class that disagrees with the size model is reported,
+// whatever the unit's level.
+func TestAuditDetectsWrongUnitClass(t *testing.T) {
+	b, _, _ := testBase(t, false)
+	b.SetFunctional(true)
+	b.ExpandUnit(3, nil)
+	for _, u := range []uint64{3, 7} {
+		b.units[u].class ^= 1
+		requireCheck(t, b.AuditInvariants(), CheckUnitClass, int64(u))
+		b.units[u].class ^= 1
+	}
+	if vs := b.AuditInvariants(); len(vs) != 0 {
+		t.Fatalf("restored classes still reported: %v", vs)
+	}
+}
+
 func TestAuditDetectsWrongShortCTESlot(t *testing.T) {
 	b := groupedBase(t)
 	b.SetFunctional(true)

@@ -596,18 +596,18 @@ func (b *Base) ReadBlocks(addr uint64, n int, class dram.Class, background bool,
 		}
 		return
 	}
-	remaining := n
-	for i := 0; i < n; i++ {
-		var cb func(engine.Time)
-		if done != nil {
-			cb = func(engine.Time) {
-				remaining--
-				if remaining == 0 {
-					done()
-				}
+	var cb func(engine.Time)
+	if done != nil {
+		remaining := n
+		cb = func(engine.Time) {
+			remaining--
+			if remaining == 0 {
+				done()
 			}
 		}
-		b.DRAM.Submit(&dram.Request{
+	}
+	for i := 0; i < n; i++ {
+		b.DRAM.Submit(dram.Request{
 			Addr: addr + uint64(i)*comp.BlockSize, Class: class,
 			Background: background, Done: cb,
 		})
@@ -620,7 +620,7 @@ func (b *Base) WriteBlocks(addr uint64, n int, class dram.Class, background bool
 		return
 	}
 	for i := 0; i < n; i++ {
-		b.DRAM.Submit(&dram.Request{
+		b.DRAM.Submit(dram.Request{
 			Addr: addr + uint64(i)*comp.BlockSize, Write: true, Class: class,
 			Background: background,
 		})
@@ -701,7 +701,7 @@ func (b *Base) CompressUnit(u uint64) {
 		b.Rec.Remove(u)
 		return
 	}
-	class := b.unitClass(u)
+	class := int(st.class) // unitClass(u), stored at NewBase (AuditInvariants checks it)
 	frame := b.Space.FrameOf(st.addr)
 	chunk, carved, ok := b.Space.AllocChunk(class)
 	if !ok {

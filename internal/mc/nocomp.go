@@ -28,14 +28,14 @@ func NewNoComp(eng *engine.Engine, d *dram.Controller, osBytes uint64) *NoComp {
 func (n *NoComp) Access(addr uint64, write bool, done func()) {
 	n.s.Requests.Inc()
 	if write {
-		n.dram.Submit(&dram.Request{Addr: addr, Write: true, Class: dram.ClassDemand})
+		n.dram.Submit(dram.Request{Addr: addr, Write: true, Class: dram.ClassDemand})
 		if done != nil {
 			done()
 		}
 		return
 	}
 	start := n.eng.Now()
-	n.dram.Submit(&dram.Request{Addr: addr, Class: dram.ClassDemand, Done: func(now engine.Time) {
+	n.dram.Submit(dram.Request{Addr: addr, Class: dram.ClassDemand, Done: func(now engine.Time) {
 		n.s.ReadLatency.Observe((now - start).Nanoseconds())
 		if done != nil {
 			done()

@@ -403,7 +403,7 @@ func (c *coreCtx) walk(a trace.Access) {
 			s.l3.Fill(ref, false)
 			addr := s.wrapDRAM(ref)
 			start := s.Eng.Now()
-			s.DRAM.Submit(&dram.Request{Addr: addr, Class: dram.ClassWalk,
+			s.DRAM.Submit(dram.Request{Addr: addr, Class: dram.ClassWalk,
 				Done: func(now engine.Time) {
 					c.time += s.Cfg.L3Lat + (now - start)
 					next(i + 1)

@@ -21,7 +21,9 @@
 #            failure paths (a hedged straggler, orphan re-dispatch, a
 #            verify failure re-dispatched) at -count=20, then the
 #            pre-canceled CLI drain report at -count=200, which must be
-#            byte-stable
+#            byte-stable, and the served drain with the listener failed
+#            and the context canceled at once at -count=200, which must
+#            drain cleanly and exit 0 every time
 #   golden   re-run the golden-run regression corpus (invariant audits on)
 #            and byte-compare against internal/harness/testdata/golden
 #   faults   fault-injection smoke: seeded mid-run corruptions of every
@@ -60,8 +62,10 @@
 #            to a harness, serve or fabric API it calls fails here instead
 #            of when the change is benchmarked (its smoke test also
 #            re-checks the export digests)
-#   fuzz     10s smoke per fuzz target in ./internal/comp and the
-#            BENCH_*.json snapshot decoder in ./internal/perfbench
+#   fuzz     10s smoke per fuzz target: the compressors in ./internal/comp,
+#            the BENCH_*.json snapshot decoder in ./internal/perfbench, the
+#            DRAM scheduler against its scan reference in ./internal/dram,
+#            and the cell-store envelope decoder in ./internal/cellstore
 #   bench    perf-trajectory gate: run the pinned dylect-bench suite and
 #            compare against the newest committed BENCH_*.json snapshot.
 #            allocs/event drift hard-fails; wall-clock drift warns only
@@ -150,6 +154,7 @@ if want stress; then
 		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch' \
 		./internal/fabric
 	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
+	go test -race -count=200 -run 'TestServeCancelWinsOverServeError' ./cmd/dylect-served
 fi
 
 if want golden; then
@@ -316,7 +321,7 @@ fi
 if want fuzz; then
 	# `go test -fuzz` refuses a pattern matching more than one target, so
 	# enumerate the targets and smoke each one briefly.
-	for pkg in ./internal/comp ./internal/perfbench; do
+	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore; do
 		targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
 		if [ -z "$targets" ]; then
 			echo "no fuzz targets found in $pkg" >&2
