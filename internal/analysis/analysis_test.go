@@ -38,6 +38,12 @@ func (c *Counter) Inc()          { c.n++ }
 func (c *Counter) Add(d uint64)  { c.n += d }
 func (c *Counter) Value() uint64 { return c.n }
 func (c *Counter) Reset()        { c.n = 0 }
+
+type Accumulator struct{ n, sum float64 }
+
+func (a *Accumulator) Observe(v float64) { a.n++; a.sum += v }
+func (a *Accumulator) Sum() float64      { return a.sum }
+func (a *Accumulator) Mean() float64     { return a.sum / a.n }
 `
 
 	fixtureMetricsPath = "fix/internal/metrics"

@@ -46,11 +46,6 @@ func isEngineTime(t types.Type) bool {
 	return isNamedFrom(t, "internal/engine", "Time")
 }
 
-// isStatsCounter reports whether t is stats.Counter.
-func isStatsCounter(t types.Type) bool {
-	return isNamedFrom(t, "internal/stats", "Counter")
-}
-
 // calleeOf resolves the static callee object of a call expression: a
 // package-level function, a method, or nil for indirect/builtin calls.
 func calleeOf(info *types.Info, call *ast.CallExpr) types.Object {

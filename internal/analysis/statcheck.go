@@ -8,22 +8,25 @@ import (
 	"strings"
 )
 
-// StatCheck returns the analyzer that enforces stats-counter integrity
-// across the whole program: every struct field of type stats.Counter (or an
-// array of them) declared in a module package must be
+// StatCheck returns the analyzer that enforces stats integrity across the
+// whole program: every struct field of type stats.Counter or
+// stats.Accumulator (or an array of either) declared in a module package
+// must be
 //
-//   - incremented somewhere (an .Inc or .Add call), and
-//   - read somewhere — a .Value call, or the counter's address handed to
+//   - written somewhere: an .Inc or .Add call on a counter, an .Observe
+//     call on an accumulator, and
+//   - read somewhere: a counter's .Value call, or its address handed to
 //     the metrics registry (any call into a package whose import path ends
-//     in internal/metrics, e.g. Recorder.RegisterCounter). Both are paths
-//     by which the count reaches serialized output: Value feeds
-//     system.Result, registration feeds interval samples.
+//     in internal/metrics, e.g. Recorder.RegisterCounter); an
+//     accumulator's .Mean, .Count, .Sum, .Min, .Max or .StdDev call. These
+//     are the paths by which a statistic reaches serialized output: a read
+//     feeds system.Result, registration feeds interval samples.
 //
-// A counter that is incremented but never read is a write-only stat: it
-// costs work on the hot path and silently vanishes from results.json. A
-// counter that is read but never incremented is an export orphan: it
-// serializes as a plausible-looking zero, which is worse than absent when
-// numbers are compared against the paper. Reset calls count as neither.
+// A statistic that is written but never read is write-only: it costs work
+// on the hot path and silently vanishes from results.json. One that is read
+// but never written is an export orphan: it serializes as a
+// plausible-looking zero, which is worse than absent when numbers are
+// compared against the paper. Reset calls count as neither.
 //
 // The check is cross-package by construction — mc.Stats counters are
 // incremented in internal/mc but read in internal/system — which is why the
@@ -31,23 +34,52 @@ import (
 func StatCheck() *Analyzer {
 	return &Analyzer{
 		Name: "statcheck",
-		Doc:  "every stats.Counter struct field must be both incremented (Inc/Add) and read (Value) somewhere in the program",
+		Doc:  "every stats.Counter and stats.Accumulator struct field must be both written (Inc/Add, Observe) and read (Value, Mean/Count/Sum/Min/Max/StdDev) somewhere in the program",
 		Run:  runStatCheck,
 	}
 }
 
-// counterField captures one declared counter for reporting.
-type counterField struct {
-	obj    *types.Var
-	incred bool
-	read   bool
+// statKind is a tracked stats type: the verb its writes are reported with,
+// and whether each of its methods writes (true) or reads (false) it.
+type statKind struct {
+	noun, written string
+	methods       map[string]bool
+}
+
+var statKinds = map[string]*statKind{
+	"Counter": {noun: "counter", written: "incremented",
+		methods: map[string]bool{"Inc": true, "Add": true, "Value": false}},
+	"Accumulator": {noun: "accumulator", written: "observed",
+		methods: map[string]bool{"Observe": true, "Mean": false, "Count": false,
+			"Sum": false, "Min": false, "Max": false, "StdDev": false}},
+}
+
+// statKindOf returns the tracked kind of t, a stats type or an array of
+// one, or nil.
+func statKindOf(t types.Type) *statKind {
+	if arr, ok := types.Unalias(t).(*types.Array); ok {
+		t = arr.Elem()
+	}
+	n := namedType(t)
+	if n == nil || !fromPkg(n.Obj(), "internal/stats") {
+		return nil
+	}
+	return statKinds[n.Obj().Name()]
+}
+
+// statField captures one declared statistic for reporting.
+type statField struct {
+	obj     *types.Var
+	kind    *statKind
+	written bool
+	read    bool
 }
 
 func runStatCheck(prog *Program) []Diagnostic {
-	// Pass 1: collect every stats.Counter struct field declared in the
+	// Pass 1: collect every tracked stats struct field declared in the
 	// program, keyed by its types.Var identity (shared across packages
 	// because the loader checks everything in one type universe).
-	fields := make(map[*types.Var]*counterField)
+	fields := make(map[*types.Var]*statField)
 	var order []*types.Var // stable reporting order: declaration order
 	eachFile(prog, func(pkg *Package, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -61,11 +93,12 @@ func runStatCheck(prog *Program) []Diagnostic {
 					if !ok || !obj.IsField() {
 						continue
 					}
-					if !counterTyped(obj.Type()) {
+					kind := statKindOf(obj.Type())
+					if kind == nil {
 						continue
 					}
 					if _, seen := fields[obj]; !seen {
-						fields[obj] = &counterField{obj: obj}
+						fields[obj] = &statField{obj: obj, kind: kind}
 						order = append(order, obj)
 					}
 				}
@@ -77,7 +110,7 @@ func runStatCheck(prog *Program) []Diagnostic {
 		return nil
 	}
 
-	// Pass 2: classify every method call on a counter-typed selection.
+	// Pass 2: classify every method call on a stats-typed selection.
 	eachFile(prog, func(pkg *Package, file *ast.File) {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -89,7 +122,7 @@ func runStatCheck(prog *Program) []Diagnostic {
 			// path (the registry snapshots Value on every sample).
 			if calleeInMetricsPkg(pkg.Info, call) {
 				for _, arg := range call.Args {
-					if f := counterAddrArg(pkg.Info, arg); f != nil {
+					if f := statAddrArg(pkg.Info, arg); f != nil {
 						if cf, tracked := fields[f]; tracked {
 							cf.read = true
 						}
@@ -100,7 +133,7 @@ func runStatCheck(prog *Program) []Diagnostic {
 			if !ok {
 				return true
 			}
-			f := fieldOfCounterExpr(pkg.Info, sel.X)
+			f := fieldOfStatExpr(pkg.Info, sel.X)
 			if f == nil {
 				return true
 			}
@@ -108,11 +141,12 @@ func runStatCheck(prog *Program) []Diagnostic {
 			if !tracked {
 				return true
 			}
-			switch sel.Sel.Name {
-			case "Inc", "Add":
-				cf.incred = true
-			case "Value":
-				cf.read = true
+			if write, ok := cf.kind.methods[sel.Sel.Name]; ok {
+				if write {
+					cf.written = true
+				} else {
+					cf.read = true
+				}
 			}
 			return true
 		})
@@ -121,24 +155,19 @@ func runStatCheck(prog *Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, obj := range order {
 		cf := fields[obj]
-		name := qualifiedField(cf.obj)
+		name, k := qualifiedField(cf.obj), cf.kind
+		var msg string
 		switch {
-		case cf.incred && !cf.read:
-			diags = append(diags, Diagnostic{
-				Pos:     cf.obj.Pos(),
-				Message: fmt.Sprintf("write-only counter %s: incremented but its Value is never read, so it never reaches serialized results; export it or delete it", name),
-			})
-		case cf.read && !cf.incred:
-			diags = append(diags, Diagnostic{
-				Pos:     cf.obj.Pos(),
-				Message: fmt.Sprintf("export-orphaned counter %s: read/serialized but never incremented, so results report a misleading constant zero", name),
-			})
-		case !cf.read && !cf.incred:
-			diags = append(diags, Diagnostic{
-				Pos:     cf.obj.Pos(),
-				Message: fmt.Sprintf("dead counter %s: never incremented and never read", name),
-			})
+		case cf.written && !cf.read:
+			msg = fmt.Sprintf("write-only %s %s: %s but never read, so it never reaches serialized results; export it or delete it", k.noun, name, k.written)
+		case cf.read && !cf.written:
+			msg = fmt.Sprintf("export-orphaned %s %s: read/serialized but never %s, so results report a misleading constant zero", k.noun, name, k.written)
+		case !cf.read && !cf.written:
+			msg = fmt.Sprintf("dead %s %s: never %s and never read", k.noun, name, k.written)
+		default:
+			continue
 		}
+		diags = append(diags, Diagnostic{Pos: cf.obj.Pos(), Message: msg})
 	}
 	return diags
 }
@@ -150,17 +179,6 @@ func qualifiedField(v *types.Var) string {
 		name = pkg.Name() + "." + name
 	}
 	return name
-}
-
-// counterTyped reports whether t is stats.Counter or an array of them.
-func counterTyped(t types.Type) bool {
-	if isStatsCounter(t) {
-		return true
-	}
-	if arr, ok := types.Unalias(t).(*types.Array); ok {
-		return isStatsCounter(arr.Elem())
-	}
-	return false
 }
 
 // calleeInMetricsPkg reports whether the call's callee (function or method)
@@ -179,20 +197,20 @@ func calleeInMetricsPkg(info *types.Info, call *ast.CallExpr) bool {
 	return strings.HasSuffix(obj.Pkg().Path(), "internal/metrics")
 }
 
-// counterAddrArg resolves a &s.Field (or &s.Arr[i]) argument to the counter
+// statAddrArg resolves a &s.Field (or &s.Arr[i]) argument to the stats
 // struct field whose address is being taken; nil for anything else.
-func counterAddrArg(info *types.Info, e ast.Expr) *types.Var {
+func statAddrArg(info *types.Info, e ast.Expr) *types.Var {
 	u, ok := ast.Unparen(e).(*ast.UnaryExpr)
 	if !ok || u.Op != token.AND {
 		return nil
 	}
-	return fieldOfCounterExpr(info, u.X)
+	return fieldOfStatExpr(info, u.X)
 }
 
-// fieldOfCounterExpr resolves the struct field behind an expression whose
+// fieldOfStatExpr resolves the struct field behind an expression whose
 // method is being called: s.Faults, b.S.CTEHits, stats.ClassBursts[c], and
 // parenthesized forms.
-func fieldOfCounterExpr(info *types.Info, e ast.Expr) *types.Var {
+func fieldOfStatExpr(info *types.Info, e ast.Expr) *types.Var {
 	e = ast.Unparen(e)
 	if ix, ok := e.(*ast.IndexExpr); ok {
 		e = ast.Unparen(ix.X) // ClassBursts[c].Inc(): the field is the array
@@ -206,7 +224,7 @@ func fieldOfCounterExpr(info *types.Info, e ast.Expr) *types.Var {
 		return nil
 	}
 	v, ok := s.Obj().(*types.Var)
-	if !ok || !counterTyped(v.Type()) {
+	if !ok || statKindOf(v.Type()) == nil {
 		return nil
 	}
 	return v

@@ -175,3 +175,43 @@ func (s *S) Total(c int) uint64 { return s.PerClass[c].Value() }
 `
 	wantClean(t, runOn(t, loadFixture(t, src), StatCheck()))
 }
+
+func TestStatCheckAccumulatorWriteOnly(t *testing.T) {
+	// The shape of the DRAM model's old latency accumulator: observed on
+	// every burst, read by nothing.
+	src := `package sut
+
+import "fix/internal/stats"
+
+type S struct {
+	Latency stats.Accumulator
+}
+
+func (s *S) touch(ns float64) { s.Latency.Observe(ns) }
+`
+	wantFinding(t, runOn(t, loadFixture(t, src), StatCheck()), "write-only accumulator", "Latency")
+}
+
+func TestStatCheckAccumulatorBalancedOK(t *testing.T) {
+	// Observed in one package, its mean read in another.
+	decl := `package sut
+
+import "fix/internal/stats"
+
+type S struct {
+	Latency stats.Accumulator
+}
+
+func (s *S) Touch(ns float64) { s.Latency.Observe(ns) }
+`
+	reader := `package reader
+
+import "fix/internal/sut"
+
+func MeanNS(s *sut.S) float64 { return s.Latency.Mean() }
+`
+	prog := loadFixture(t, decl, map[string]map[string]string{
+		"fix/internal/reader": {"reader.go": reader},
+	})
+	wantClean(t, runOn(t, prog, StatCheck()))
+}

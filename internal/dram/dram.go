@@ -162,8 +162,6 @@ type Stats struct {
 	RowClosed   stats.Counter
 	ClassBursts [numClasses]stats.Counter
 	BusBusy     engine.Time
-	Latency     stats.Accumulator // enqueue-to-data-complete, ns
-	QueuePeak   int
 }
 
 // Bursts returns the total number of data bursts served.
@@ -212,7 +210,6 @@ type bank struct {
 // slot is the controller's copy of one queued request.
 type slot struct {
 	done  func(now engine.Time)
-	enq   engine.Time
 	row   int64 // compared with bank.openRow
 	class Class
 	bank  int32 // global bank index within the channel
@@ -220,7 +217,7 @@ type slot struct {
 	write bool
 }
 
-// slotShift sizes the slot pool's pages: 256 slots, 12 KiB.
+// slotShift sizes the slot pool's pages: 256 slots of 40 bytes, 10 KiB.
 const slotShift = 8
 
 // bankQueue is one bank's window requests in one queue: slots linked
@@ -404,7 +401,7 @@ func (c *Controller) Submit(req Request) {
 	loc := c.cfg.Decode(req.Addr)
 	s := c.alloc()
 	*c.slot(s) = slot{
-		done: req.Done, enq: c.eng.Now(), row: int64(loc.row), bank: int32(loc.bank),
+		done: req.Done, row: int64(loc.row), bank: int32(loc.bank),
 		class: req.Class, write: req.Write,
 	}
 	ci := loc.channel
@@ -417,9 +414,6 @@ func (c *Controller) Submit(req Request) {
 		c.link(ch, q, s)
 	} else {
 		q.overflow.push(s)
-	}
-	if ch.live() > c.stats.QueuePeak {
-		c.stats.QueuePeak = ch.live()
 	}
 	c.kick(ci)
 }
@@ -681,7 +675,6 @@ func (c *Controller) issue(ch *channel, s int32, now engine.Time) {
 		c.stats.Reads.Inc()
 	}
 	c.stats.ClassBursts[req.class].Inc()
-	c.stats.Latency.Observe((dataEnd - req.enq).Nanoseconds())
 
 	done := req.done
 	req.done = nil // the free slot must not pin the callback

@@ -27,7 +27,6 @@ type scanController struct {
 // scanReq is the reference's heap copy of a submitted request.
 type scanReq struct {
 	Request
-	enq engine.Time
 	loc location
 }
 
@@ -142,16 +141,12 @@ func (c *scanController) StartRefresh(horizon engine.Time) {
 // Submit enqueues a heap copy of r.
 func (c *scanController) Submit(r Request) {
 	req := &scanReq{Request: r}
-	req.enq = c.eng.Now()
 	req.loc = c.cfg.Decode(req.Addr)
 	ch := c.chans[req.loc.channel]
 	if req.Background {
 		ch.bg.push(req)
 	} else {
 		ch.fg.push(req)
-	}
-	if ch.live() > c.stats.QueuePeak {
-		c.stats.QueuePeak = ch.live()
 	}
 	c.kick(req.loc.channel)
 }
@@ -287,7 +282,6 @@ func (c *scanController) issue(ch *scanChannel, req *scanReq, now engine.Time) {
 		c.stats.Reads.Inc()
 	}
 	c.stats.ClassBursts[req.Class].Inc()
-	c.stats.Latency.Observe((dataEnd - req.enq).Nanoseconds())
 
 	if req.Done != nil {
 		done := req.Done

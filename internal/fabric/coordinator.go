@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -317,12 +316,12 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 
 func (c *Coordinator) handleMember(rw http.ResponseWriter, req *http.Request, join bool) {
 	if req.Method != http.MethodPost {
-		writeFabricErr(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
+		serve.WriteError(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
 		return
 	}
 	var mr MemberRequest
 	if err := json.NewDecoder(req.Body).Decode(&mr); err != nil || mr.Worker == "" {
-		writeFabricErr(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad member request", 0)
+		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad member request", 0)
 		return
 	}
 	if join {
@@ -570,14 +569,10 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 	if resp.StatusCode != http.StatusOK {
 		var er serve.ErrorResponse
 		json.Unmarshal(data, &er)
-		de := &DispatchError{Worker: worker, Code: er.Code, Status: resp.StatusCode, Msg: er.Error}
+		de := &DispatchError{Worker: worker, Code: er.Code, Status: resp.StatusCode, Msg: er.Error,
+			RetryAfter: retry.Advice(resp.Header.Get("Retry-After"), er.RetryAfterSec)}
 		if er.Code == "" {
 			de.Msg = string(bytes.TrimSpace(data))
-		}
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			if sec, perr := strconv.ParseFloat(ra, 64); perr == nil {
-				de.RetryAfter = retry.Seconds(sec)
-			}
 		}
 		if er.Code == CodeConfigMismatch {
 			// A worker running a different config or schema can never serve

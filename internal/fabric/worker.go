@@ -102,27 +102,27 @@ func (w *Worker) Drain(ctx context.Context) bool { return w.inflight.Drain(ctx) 
 
 func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeFabricErr(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
+		serve.WriteError(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
 		return
 	}
 	if w.opts.Ready != nil && !w.opts.Ready() {
-		writeFabricErr(rw, http.StatusServiceUnavailable, serve.CodeDraining, "worker is draining", time.Second)
+		serve.WriteError(rw, http.StatusServiceUnavailable, serve.CodeDraining, "worker is draining", time.Second)
 		return
 	}
 	var cr CellRequest
 	if err := json.NewDecoder(req.Body).Decode(&cr); err != nil {
-		writeFabricErr(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad cell request: "+err.Error(), 0)
+		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad cell request: "+err.Error(), 0)
 		return
 	}
 	if cr.ConfigHash != w.opts.ConfigHash || cr.Schema != w.opts.Schema {
-		writeFabricErr(rw, http.StatusConflict, CodeConfigMismatch,
+		serve.WriteError(rw, http.StatusConflict, CodeConfigMismatch,
 			fmt.Sprintf("dispatch pins config %.12s schema %q; worker runs config %.12s schema %q",
 				cr.ConfigHash, cr.Schema, w.opts.ConfigHash, w.opts.Schema), 0)
 		return
 	}
 	key, err := harness.PayloadKey(w.opts.ConfigHash, cr.Spec)
 	if err != nil {
-		writeFabricErr(rw, http.StatusBadRequest, serve.CodeBadRequest, err.Error(), 0)
+		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, err.Error(), 0)
 		return
 	}
 
@@ -137,12 +137,12 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 			status = http.StatusServiceUnavailable
 		}
 		w.log.Warn("fabric cell failed", "cell", cr.Spec.CellKey(), "code", code, "err", err)
-		writeFabricErr(rw, status, code, err.Error(), 0)
+		serve.WriteError(rw, status, code, err.Error(), 0)
 		return
 	}
 	env, err := cellstore.EncodeEnvelope(w.opts.Schema, key, payload)
 	if err != nil {
-		writeFabricErr(rw, http.StatusInternalServerError, "encode", err.Error(), 0)
+		serve.WriteError(rw, http.StatusInternalServerError, "encode", err.Error(), 0)
 		return
 	}
 	w.log.Info("fabric cell served", "cell", cr.Spec.CellKey(),
@@ -154,12 +154,12 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 
 func (w *Worker) handleVerify(rw http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeFabricErr(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
+		serve.WriteError(rw, http.StatusMethodNotAllowed, serve.CodeBadRequest, "POST only", 0)
 		return
 	}
 	var cr CellRequest
 	if err := json.NewDecoder(req.Body).Decode(&cr); err != nil {
-		writeFabricErr(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad verify request: "+err.Error(), 0)
+		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad verify request: "+err.Error(), 0)
 		return
 	}
 	ok := false
@@ -171,13 +171,4 @@ func (w *Worker) handleVerify(rw http.ResponseWriter, req *http.Request) {
 	w.log.Warn("fabric verify requested", "cell", cr.Spec.CellKey(), "verified", ok)
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(map[string]bool{"verified": ok})
-}
-
-func writeFabricErr(rw http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
-	if retryAfter > 0 {
-		rw.Header().Set("Retry-After", fmt.Sprintf("%d", int64((retryAfter+time.Second-1)/time.Second)))
-	}
-	rw.Header().Set("Content-Type", "application/json")
-	rw.WriteHeader(status)
-	json.NewEncoder(rw).Encode(serve.ErrorResponse{Error: msg, Code: code, RetryAfterSec: retryAfter.Seconds()})
 }

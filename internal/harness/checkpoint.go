@@ -165,11 +165,12 @@ func (k runKey) fileKey() string {
 	return strings.ReplaceAll(name, string(os.PathSeparator), "-") + ".json"
 }
 
-// storeKey scopes a cell key to this checkpoint's config: the store address
-// is content-derived from (config hash, cell key), and the schema version
-// rides in the record envelope.
-func (c *Checkpoint) storeKey(k runKey) string {
-	return c.cfgHash + "/" + k.fileKey()
+// storeKey scopes a cell key to a config: the store address is
+// content-derived from (config hash, cell key), and the schema version rides
+// in the record envelope. A Checkpoint files records under it, and
+// PayloadKey hands it to the fabric.
+func (k runKey) storeKey(cfgHash string) string {
+	return cfgHash + "/" + k.fileKey()
 }
 
 // cellRecord is the persisted payload of one cell: the Result plus its
@@ -183,7 +184,7 @@ type cellRecord struct {
 // Has reports whether a verified record for the cell existed at open (or
 // was stored since) without reading it. FreshCost uses it to price warm
 // cells as free; Load remains the only trusted read.
-func (c *Checkpoint) Has(key runKey) bool { return c.store.Has(c.storeKey(key)) }
+func (c *Checkpoint) Has(key runKey) bool { return c.store.Has(key.storeKey(c.cfgHash)) }
 
 // Load restores a cell's persisted Result (and its observability sidecar,
 // when one was recorded), reporting whether the Result exists. Every load
@@ -191,12 +192,12 @@ func (c *Checkpoint) Has(key runKey) bool { return c.store.Has(c.storeKey(key)) 
 // check is quarantined by the store and treated as missing — the cell is
 // re-simulated with a warning, never a fatal error.
 func (c *Checkpoint) Load(key runKey) (*system.Result, *metrics.Data, bool) {
-	payload, ok := c.store.Get(c.storeKey(key))
+	payload, ok := c.store.Get(key.storeKey(c.cfgHash))
 	if !ok {
 		return nil, nil, false
 	}
-	var rec cellRecord
-	if err := json.Unmarshal(payload, &rec); err != nil || rec.Result == nil {
+	res, obs, err := decodeCellPayload(payload)
+	if err != nil {
 		// The checksum verified, so this is a schema drift the version pin
 		// failed to catch, not corruption. Re-simulate; say why.
 		fmt.Fprintf(c.log, "checkpoint: cell %s: verified record does not decode (%v); re-simulating\n", key, err)
@@ -205,7 +206,7 @@ func (c *Checkpoint) Load(key runKey) (*system.Result, *metrics.Data, bool) {
 	c.mu.Lock()
 	c.loaded++
 	c.mu.Unlock()
-	return rec.Result, rec.Metrics, true
+	return res, obs, true
 }
 
 // Store persists a completed cell crash-safely, together with its
@@ -227,7 +228,7 @@ func (c *Checkpoint) Store(key runKey, res *system.Result, obs *metrics.Data) er
 // run would have written, which is what makes remote re-dispatch idempotent
 // and warm restarts byte-identical.
 func (c *Checkpoint) AdoptPayload(key runKey, payload []byte) error {
-	if err := c.store.Put(c.storeKey(key), payload); err != nil {
+	if err := c.store.Put(key.storeKey(c.cfgHash), payload); err != nil {
 		return fmt.Errorf("checkpoint: cell %s: %w", key, err)
 	}
 	c.mu.Lock()
@@ -247,6 +248,6 @@ func (c *Checkpoint) ReverifyCell(spec CellSpec) bool {
 	if err != nil {
 		return false
 	}
-	_, ok := c.store.Get(c.storeKey(k))
+	_, ok := c.store.Get(k.storeKey(c.cfgHash))
 	return ok
 }

@@ -125,7 +125,7 @@ func PayloadKey(cfgHash string, spec CellSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cfgHash + "/" + k.fileKey(), nil
+	return k.storeKey(cfgHash), nil
 }
 
 // encodeCellPayload renders a completed cell as its canonical persisted

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -54,6 +55,127 @@ func TestCellSpecRoundTrip(t *testing.T) {
 			t.Errorf("spec %+v parsed; want rejection", bad)
 		}
 	}
+}
+
+// TestCellKeyFieldCoverage holds CellSpec's promise that every runKey
+// field participates. Each field, the variant's included, has one mutator
+// that changes only that field, and the mutated key must survive the wire
+// spec and change the store file name and the export's key columns and
+// sort position. A key field without a mutator fails the test, so a new
+// knob cannot be added to the key without a wire and store identity:
+// otherwise two cells would share one spec and one store address, and a
+// cluster merge would be silently wrong.
+func TestCellKeyFieldCoverage(t *testing.T) {
+	mutators := map[string]func(*runKey){
+		"workload":      func(k *runKey) { k.workload = "mcf" },
+		"design":        func(k *runKey) { k.design = system.DesignTMCC },
+		"setting":       func(k *runKey) { k.setting = system.SettingLow },
+		"hugePages":     func(k *runKey) { k.hugePages = !k.hugePages },
+		"cteCacheBytes": func(k *runKey) { k.cteCacheBytes *= 2 },
+		"granularity":   func(k *runKey) { k.granularity *= 2 },
+		"groupSize":     func(k *runKey) { k.groupSize++ },
+		"perfectCTE":    func(k *runKey) { k.perfectCTE = !k.perfectCTE },
+		"ranks":         func(k *runKey) { k.ranks++ },
+		"embedPTB":      func(k *runKey) { k.embedPTB = !k.embedPTB },
+		"directToML0":   func(k *runKey) { k.directToML0 = !k.directToML0 },
+		"samplePeriod":  func(k *runKey) { k.samplePeriod++ },
+	}
+	base := runKey{workload: "omnetpp", design: system.DesignDyLeCT, setting: system.SettingHigh,
+		variant: NewRunner(microConfig()).normalize(defaultVariant())}
+	res := &system.Result{}
+	fields := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(base)) {
+		if f.Anonymous {
+			continue // the embedded variant; its fields are visited one by one
+		}
+		fields++
+		mutate, ok := mutators[f.Name]
+		if !ok {
+			t.Errorf("runKey field %s has no mutator: add one, and carry the field in CellSpec, fileKey, RawResult and lessRaw", f.Name)
+			continue
+		}
+		k := base
+		mutate(&k)
+		for _, g := range reflect.VisibleFields(reflect.TypeOf(base)) {
+			same := reflect.ValueOf(k).FieldByIndex(g.Index).Equal(reflect.ValueOf(base).FieldByIndex(g.Index))
+			if !g.Anonymous && same == (g.Name == f.Name) {
+				t.Fatalf("the %s mutator changed %s: %+v", f.Name, g.Name, k)
+			}
+		}
+		if back, err := specOf(k).runKey(); err != nil || back != k {
+			t.Errorf("%s: spec round trip gave %+v, %v; want %+v", f.Name, back, err, k)
+		}
+		if k.fileKey() == base.fileKey() {
+			t.Errorf("%s: fileKey ignores the field: %s", f.Name, k.fileKey())
+		}
+		a, b := rawOf(base, res), rawOf(k, res)
+		if a == b {
+			t.Errorf("%s: rawOf's key columns ignore the field", f.Name)
+		}
+		if !lessRaw(a, b) && !lessRaw(b, a) {
+			t.Errorf("%s: lessRaw does not order the two cells", f.Name)
+		}
+	}
+	if fields != len(mutators) {
+		t.Errorf("%d mutators for %d runKey fields: delete the stale ones", len(mutators), fields)
+	}
+}
+
+// FuzzCellSpec drives a worker's decode chain, CellSpec JSON to runKey to
+// normalize, with arbitrary bytes. No input may panic, and every accepted
+// spec's canonical form (specOf of the normalized key) is a fixed point: it
+// survives JSON, parses back to the same key, and normalizes to itself.
+func FuzzCellSpec(f *testing.F) {
+	r := NewRunner(microConfig())
+	for _, k := range planCells(microConfig(), []Experiment{mustExperiment(f, "fig3"), mustExperiment(f, "abl-sampling")}) {
+		data, err := json.Marshal(specOf(k))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"workload":"omnetpp","design":"tmcc","setting":"high"}`))
+	f.Add([]byte(`{"workload":"a/b","design":"nocomp","setting":"none","ranks":-1,"granularity":3}`))
+	f.Add([]byte(`{}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec CellSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		k, err := spec.runKey()
+		if err != nil {
+			return
+		}
+		k.variant = r.normalize(k.variant)
+		canon := specOf(k)
+		wire, err := json.Marshal(canon)
+		if err != nil {
+			t.Fatalf("canonical spec %+v does not encode: %v", canon, err)
+		}
+		var back CellSpec
+		if err := json.Unmarshal(wire, &back); err != nil || back != canon {
+			t.Fatalf("canonical spec changed over JSON: %+v -> %+v (%v)", canon, back, err)
+		}
+		k2, err := back.runKey()
+		if err != nil || k2 != k {
+			t.Fatalf("canonical spec %+v parses to %+v, %v; want %+v", back, k2, err, k)
+		}
+		if r.normalize(k2.variant) != k2.variant {
+			t.Fatalf("normalizing the canonical key changed it: %+v", k2)
+		}
+		if back.CellKey() != k.String() {
+			t.Fatalf("CellKey %q, want %q", back.CellKey(), k.String())
+		}
+	})
+}
+
+func mustExperiment(tb testing.TB, name string) Experiment {
+	tb.Helper()
+	e, ok := ByName(name)
+	if !ok {
+		tb.Fatalf("no experiment %q", name)
+	}
+	return e
 }
 
 // TestOutOfRangeSpecsFailCleanly sends option values that used to panic a

@@ -8,23 +8,15 @@ import (
 
 // Thresholds configures when a dimension drift counts as a regression.
 type Thresholds struct {
-	// Time is the tolerated fractional regression on wall-clock dimensions
-	// (cells/sec, ns/event). Wall clock is machine- and load-dependent, so
-	// time regressions are warnings unless FailOnTime is set.
-	Time float64
 	// Allocs is the tolerated fractional growth of allocs/event. Allocation
 	// counts are a deterministic property of the code (no clock involved),
 	// so exceeding this always fails.
 	Allocs float64
-	// FailOnTime escalates time-dimension regressions from warnings to
-	// failures (for quiet dedicated machines; CI keeps them warn-only).
-	FailOnTime bool
 }
 
-// DefaultThresholds tolerates 10% wall-clock noise and 2% allocs/event
-// drift.
+// DefaultThresholds tolerates 2% allocs/event drift.
 func DefaultThresholds() Thresholds {
-	return Thresholds{Time: 0.10, Allocs: 0.02}
+	return Thresholds{Allocs: 0.02}
 }
 
 // Severity grades a finding.
@@ -33,14 +25,13 @@ type Severity string
 // Finding severities.
 const (
 	SeverityInfo Severity = "info"
-	SeverityWarn Severity = "warn"
 	SeverityFail Severity = "fail"
 )
 
 // Finding is one detected drift between two snapshots.
 type Finding struct {
 	Scope    string // "total", "design:dylect", or "cell:<name>"
-	Dim      string // "cellsPerSec", "nsPerEvent", "allocsPerEvent", "events"
+	Dim      string // "allocsPerEvent" or "events"
 	Old, New float64
 	Ratio    float64 // new/old
 	Severity Severity
@@ -50,12 +41,7 @@ type Finding struct {
 // Report is the outcome of comparing two snapshots.
 type Report struct {
 	Old, New *Snapshot
-	// Speedup is new total cells/sec over old (values > 1 are improvements).
-	Speedup  float64
 	Findings []Finding
-	// EnvComparable is false when the snapshots come from different CPU
-	// models or go versions; wall-clock findings are then downgraded info.
-	EnvComparable bool
 }
 
 // Failed reports whether any finding is a hard failure.
@@ -66,17 +52,6 @@ func (r *Report) Failed() bool {
 		}
 	}
 	return false
-}
-
-// Warnings counts warn-level findings.
-func (r *Report) Warnings() int {
-	n := 0
-	for _, f := range r.Findings {
-		if f.Severity == SeverityWarn {
-			n++
-		}
-	}
-	return n
 }
 
 // Compare diffs two snapshots under the thresholds. Snapshots of different
@@ -98,22 +73,7 @@ func Compare(oldSnap, newSnap *Snapshot, th Thresholds) (*Report, error) {
 		return nil, fmt.Errorf("perfbench: cell sets differ:\n  baseline: %s\n  new:      %s\nrefresh the baseline",
 			oldNames, newNames)
 	}
-	r := &Report{
-		Old: oldSnap, New: newSnap,
-		EnvComparable: oldSnap.Env.CPU == newSnap.Env.CPU &&
-			oldSnap.Env.GoVersion == newSnap.Env.GoVersion,
-	}
-	if oldSnap.Total.CellsPerSec > 0 {
-		r.Speedup = newSnap.Total.CellsPerSec / oldSnap.Total.CellsPerSec
-	}
-
-	timeSeverity := SeverityWarn
-	if th.FailOnTime {
-		timeSeverity = SeverityFail
-	}
-	if !r.EnvComparable {
-		timeSeverity = SeverityInfo
-	}
+	r := &Report{Old: oldSnap, New: newSnap}
 
 	// Event-count drift per cell is informational: an intentional model
 	// change legitimately changes the event stream, but the reader should
@@ -133,49 +93,29 @@ func Compare(oldSnap, newSnap *Snapshot, th Thresholds) (*Report, error) {
 		}
 	}
 
-	scopes := []struct {
-		name     string
-		old, new Aggregate
-	}{{"total", oldSnap.Total, newSnap.Total}}
+	r.checkAllocs("total", oldSnap.Total, newSnap.Total, th.Allocs)
 	for _, od := range oldSnap.Designs {
 		for _, nd := range newSnap.Designs {
 			if od.Design == nd.Design {
-				scopes = append(scopes, struct {
-					name     string
-					old, new Aggregate
-				}{"design:" + od.Design, od, nd})
+				r.checkAllocs("design:"+od.Design, od, nd, th.Allocs)
 			}
 		}
-	}
-	for _, sc := range scopes {
-		r.check(sc.name, "cellsPerSec", sc.old.CellsPerSec, sc.new.CellsPerSec, -th.Time, timeSeverity)
-		r.check(sc.name, "nsPerEvent", sc.old.NSPerEvent, sc.new.NSPerEvent, th.Time, timeSeverity)
-		r.check(sc.name, "allocsPerEvent", sc.old.AllocsPerEvent, sc.new.AllocsPerEvent, th.Allocs, SeverityFail)
 	}
 	return r, nil
 }
 
-// check appends a finding when newV drifted beyond the tolerance in the bad
-// direction. tol > 0 means growth is bad (cost dimensions); tol < 0 means
-// shrinking is bad (rate dimensions), with |tol| the tolerated fraction.
-func (r *Report) check(scope, dim string, oldV, newV, tol float64, sev Severity) {
-	if oldV <= 0 || math.IsNaN(oldV) || math.IsNaN(newV) {
-		return
-	}
-	bad := false
-	if tol >= 0 {
-		bad = newV > oldV*(1+tol)
-	} else {
-		bad = newV < oldV*(1+tol) // tol negative: tolerated shrink
-	}
-	if !bad {
+// checkAllocs appends a failing finding when the scope's allocs/event grew
+// past the tolerated fraction.
+func (r *Report) checkAllocs(scope string, o, n Aggregate, tol float64) {
+	oldV, newV := o.AllocsPerEvent, n.AllocsPerEvent
+	if oldV <= 0 || math.IsNaN(oldV) || math.IsNaN(newV) || newV <= oldV*(1+tol) {
 		return
 	}
 	r.Findings = append(r.Findings, Finding{
-		Scope: scope, Dim: dim, Old: oldV, New: newV,
-		Ratio: ratio(newV, oldV), Severity: sev,
-		Msg: fmt.Sprintf("%s %s regressed %.4g -> %.4g (%.2fx, tolerance %.0f%%)",
-			scope, dim, oldV, newV, ratio(newV, oldV), math.Abs(tol)*100),
+		Scope: scope, Dim: "allocsPerEvent", Old: oldV, New: newV,
+		Ratio: ratio(newV, oldV), Severity: SeverityFail,
+		Msg: fmt.Sprintf("%s allocsPerEvent regressed %.4g -> %.4g (%.2fx, tolerance %.0f%%)",
+			scope, oldV, newV, ratio(newV, oldV), tol*100),
 	})
 }
 
@@ -190,16 +130,10 @@ func ratio(a, b float64) float64 {
 func (r *Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "suite %s: baseline %s  vs  new %s\n", r.New.Suite, r.Old.CreatedAt, r.New.CreatedAt)
-	if !r.EnvComparable {
-		fmt.Fprintf(&b, "note: environments differ (%s/%s vs %s/%s); wall-clock dims informational only\n",
-			r.Old.Env.CPU, r.Old.Env.GoVersion, r.New.Env.CPU, r.New.Env.GoVersion)
-	}
-	fmt.Fprintf(&b, "%-16s %14s %14s %9s   %14s %14s %9s\n",
-		"", "cells/sec old", "cells/sec new", "ratio", "allocs/ev old", "allocs/ev new", "ratio")
+	fmt.Fprintf(&b, "%-16s %14s %14s %9s\n", "", "allocs/ev old", "allocs/ev new", "ratio")
 	row := func(name string, o, n Aggregate) {
-		fmt.Fprintf(&b, "%-16s %14.3f %14.3f %8.2fx   %14.1f %14.1f %8.2fx\n",
-			name, o.CellsPerSec, n.CellsPerSec, ratio(n.CellsPerSec, o.CellsPerSec),
-			o.AllocsPerEvent, n.AllocsPerEvent, ratio(n.AllocsPerEvent, o.AllocsPerEvent))
+		fmt.Fprintf(&b, "%-16s %14.2f %14.2f %8.2fx\n",
+			name, o.AllocsPerEvent, n.AllocsPerEvent, ratio(n.AllocsPerEvent, o.AllocsPerEvent))
 	}
 	row("total", r.Old.Total, r.New.Total)
 	for _, od := range r.Old.Designs {
@@ -209,7 +143,6 @@ func (r *Report) Render() string {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "overall speedup: %.2fx cells/sec\n", r.Speedup)
 	for _, f := range r.Findings {
 		fmt.Fprintf(&b, "[%s] %s\n", f.Severity, f.Msg)
 	}

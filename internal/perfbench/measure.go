@@ -2,9 +2,7 @@ package perfbench
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"dylect/internal/system"
@@ -13,9 +11,9 @@ import (
 
 // Options controls a measurement run.
 type Options struct {
-	// Count is how many times each cell is executed; the fastest repetition
-	// is recorded (the standard benchmarking estimator for the noise-free
-	// cost). Minimum 1.
+	// Count is how many times each cell is executed; the smallest
+	// allocation count is recorded (GC-assist noise only ever inflates it).
+	// Minimum 1.
 	Count int
 	// Progress, when non-nil, is called before each cell with (index,
 	// total, name).
@@ -36,7 +34,12 @@ func Measure(cells []Cell, opts Options) (*Snapshot, error) {
 		Schema:    SchemaVersion,
 		Suite:     SuiteVersion,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
-		Env:       captureEnv(opts.Count),
+		Env: Env{
+			GoVersion: runtime.Version(),
+			GOOS:      runtime.GOOS,
+			GOARCH:    runtime.GOARCH,
+			Count:     opts.Count,
+		},
 	}
 	for i, c := range cells {
 		if opts.Progress != nil {
@@ -55,9 +58,8 @@ func Measure(cells []Cell, opts Options) (*Snapshot, error) {
 	return snap, nil
 }
 
-// measureCell executes one cell count times, recording the fastest wall
-// time and the smallest allocation footprint (GC-assist noise only ever
-// inflates the numbers).
+// measureCell executes one cell count times, recording the smallest
+// allocation footprint.
 func measureCell(c Cell, count int) (CellResult, error) {
 	w, ok := trace.ByName(c.Workload)
 	if !ok {
@@ -87,9 +89,7 @@ func measureCell(c Cell, count int) (CellResult, error) {
 		runtime.GC()
 		runtime.ReadMemStats(&ms)
 		mallocs, bytes := ms.Mallocs, ms.TotalAlloc
-		start := time.Now()
 		r, err := system.RunE(opts)
-		wall := time.Since(start).Nanoseconds()
 		if err != nil {
 			return CellResult{}, fmt.Errorf("perfbench: cell %s: %w", c.Name, err)
 		}
@@ -102,7 +102,6 @@ func measureCell(c Cell, count int) (CellResult, error) {
 		if rep == 0 {
 			res.Events = r.Events
 			res.Insts = r.Insts
-			res.WallNS = wall
 			res.Allocs = allocs
 			res.AllocBytes = allocBytes
 			continue
@@ -112,9 +111,6 @@ func measureCell(c Cell, count int) (CellResult, error) {
 				"perfbench: cell %s: nondeterministic event count (%d then %d); refusing to snapshot",
 				c.Name, res.Events, r.Events)
 		}
-		if wall < res.WallNS {
-			res.WallNS = wall
-		}
 		if allocs < res.Allocs {
 			res.Allocs = allocs
 			res.AllocBytes = allocBytes
@@ -122,36 +118,4 @@ func measureCell(c Cell, count int) (CellResult, error) {
 	}
 	res.derive()
 	return res, nil
-}
-
-// captureEnv stamps the snapshot with everything needed to judge whether
-// two snapshots' wall-clock dimensions are comparable.
-func captureEnv(count int) Env {
-	return Env{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		CPU:        cpuModel(),
-		Count:      count,
-	}
-}
-
-// cpuModel best-effort reads the CPU model name (linux); "unknown"
-// elsewhere. Wall-clock dimensions from different CPU models are not
-// comparable, and the compare tool says so.
-func cpuModel() string {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		return "unknown"
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, ok := strings.CutPrefix(line, "model name"); ok {
-			if _, v, ok := strings.Cut(name, ":"); ok {
-				return strings.TrimSpace(v)
-			}
-		}
-	}
-	return "unknown"
 }

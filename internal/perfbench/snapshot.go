@@ -12,15 +12,13 @@ import (
 // would poison every later comparison.
 const SchemaVersion = 1
 
-// Env stamps the machine a snapshot was taken on.
+// Env stamps the toolchain a snapshot was taken with: allocation counts
+// depend on the Go version and platform, not on the CPU.
 type Env struct {
-	GoVersion  string `json:"goVersion"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	NumCPU     int    `json:"numCPU"`
-	CPU        string `json:"cpu"`
-	Count      int    `json:"count"`
+	GoVersion string `json:"goVersion"`
+	GOOS      string `json:"goos"`
+	GOARCH    string `json:"goarch"`
+	Count     int    `json:"count"`
 }
 
 // CellResult is one cell's measurement.
@@ -36,20 +34,17 @@ type CellResult struct {
 	Events uint64 `json:"events"`
 	Insts  uint64 `json:"instructions"`
 
-	// WallNS is the fastest repetition's wall time; Allocs/AllocBytes the
-	// smallest repetition's heap allocation count and bytes.
-	WallNS     int64  `json:"wallNS"`
+	// Allocs/AllocBytes are the smallest repetition's heap allocation
+	// count and bytes.
 	Allocs     uint64 `json:"allocs"`
 	AllocBytes uint64 `json:"allocBytes"`
 
-	// Derived dimensions (recomputed and cross-checked on decode).
-	NSPerEvent     float64 `json:"nsPerEvent"`
+	// AllocsPerEvent is derived from Allocs and Events.
 	AllocsPerEvent float64 `json:"allocsPerEvent"`
 }
 
-// derive fills the per-event dimensions from the raw measurements.
+// derive fills the per-event dimension from the raw measurements.
 func (c *CellResult) derive() {
-	c.NSPerEvent = float64(c.WallNS) / float64(c.Events)
 	c.AllocsPerEvent = float64(c.Allocs) / float64(c.Events)
 }
 
@@ -58,12 +53,9 @@ type Aggregate struct {
 	Design string `json:"design,omitempty"` // empty on the suite total
 	Cells  int    `json:"cells"`
 
-	WallNS int64  `json:"wallNS"`
 	Events uint64 `json:"events"`
 	Allocs uint64 `json:"allocs"`
 
-	CellsPerSec    float64 `json:"cellsPerSec"`
-	NSPerEvent     float64 `json:"nsPerEvent"`
 	AllocsPerEvent float64 `json:"allocsPerEvent"`
 }
 
@@ -79,9 +71,9 @@ type Snapshot struct {
 	Total   Aggregate    `json:"total"`
 }
 
-// Finalize recomputes every derived field — per-cell rates, per-design and
-// total aggregates — from the raw cell measurements. Callers that build a
-// snapshot by hand (tests, tools) must call it before Encode.
+// Finalize recomputes every derived field — per-cell allocs/event,
+// per-design and total aggregates — from the raw cell measurements. Callers
+// that build a snapshot by hand (tests, tools) must call it before Encode.
 func (s *Snapshot) Finalize() {
 	for i := range s.Cells {
 		s.Cells[i].derive()
@@ -104,7 +96,6 @@ func (s *Snapshot) aggregate() {
 		}
 		for _, t := range []*Aggregate{a, &total} {
 			t.Cells++
-			t.WallNS += c.WallNS
 			t.Events += c.Events
 			t.Allocs += c.Allocs
 		}
@@ -119,13 +110,9 @@ func (s *Snapshot) aggregate() {
 	s.Total = total
 }
 
-// derive fills an aggregate's rate dimensions.
+// derive fills an aggregate's per-event dimension.
 func (a *Aggregate) derive() {
-	if a.WallNS > 0 {
-		a.CellsPerSec = float64(a.Cells) / (float64(a.WallNS) / 1e9)
-	}
 	if a.Events > 0 {
-		a.NSPerEvent = float64(a.WallNS) / float64(a.Events)
 		a.AllocsPerEvent = float64(a.Allocs) / float64(a.Events)
 	}
 }
@@ -145,7 +132,9 @@ func (s *Snapshot) Encode() ([]byte, error) {
 
 // Decode parses and validates a snapshot. It returns an error — never
 // panics — on malformed input: truncated JSON, wrong schema, missing
-// cells, non-finite or negative dimensions, duplicate cell names.
+// cells, non-finite or negative dimensions, duplicate cell names. Keys a
+// snapshot no longer carries, such as the wall-clock dimensions and CPU
+// stamp of BENCH_1.json and BENCH_2.json, are ignored.
 func Decode(data []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(data, &s); err != nil {
@@ -181,19 +170,8 @@ func (s *Snapshot) Validate() error {
 		if c.Events == 0 {
 			return fmt.Errorf("perfbench: cell %q has zero events", c.Name)
 		}
-		if c.WallNS <= 0 {
-			return fmt.Errorf("perfbench: cell %q has non-positive wall time %d", c.Name, c.WallNS)
-		}
-		for _, d := range []struct {
-			name string
-			v    float64
-		}{
-			{"nsPerEvent", c.NSPerEvent},
-			{"allocsPerEvent", c.AllocsPerEvent},
-		} {
-			if math.IsNaN(d.v) || math.IsInf(d.v, 0) || d.v < 0 {
-				return fmt.Errorf("perfbench: cell %q has invalid %s %v", c.Name, d.name, d.v)
-			}
+		if v := c.AllocsPerEvent; math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			return fmt.Errorf("perfbench: cell %q has invalid allocsPerEvent %v", c.Name, v)
 		}
 	}
 	if s.Total.Cells != len(s.Cells) {

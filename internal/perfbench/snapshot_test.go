@@ -3,39 +3,35 @@ package perfbench
 import (
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // testSnapshot builds a small valid snapshot for the codec and compare
-// tests. Scale multiplies the wall-clock and allocation dimensions, so two
-// snapshots with different scales model a perf change with identical
-// simulated behavior.
+// tests. Scale multiplies the allocation dimensions, so two snapshots with
+// different scales model an allocation change with identical simulated
+// behavior.
 func testSnapshot(scale float64) *Snapshot {
 	s := &Snapshot{
 		Schema:    SchemaVersion,
 		Suite:     SuiteVersion,
 		CreatedAt: "2026-01-02T03:04:05Z",
-		Env: Env{
-			GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64",
-			GOMAXPROCS: 1, NumCPU: 1, CPU: "testcpu", Count: 3,
-		},
+		Env:       Env{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", Count: 3},
 	}
 	cells := []struct {
 		name, wl, design string
-		events           uint64
-		wall             int64
-		allocs           uint64
+		events, allocs   uint64
 	}{
-		{"bfs/dylect/high", "bfs", "dylect", 120_000, 80_000_000, 400_000},
-		{"bfs/tmcc/high", "bfs", "tmcc", 90_000, 60_000_000, 300_000},
-		{"mcf/dylect/high", "mcf", "dylect", 150_000, 100_000_000, 500_000},
+		{"bfs/dylect/high", "bfs", "dylect", 120_000, 400_000},
+		{"bfs/tmcc/high", "bfs", "tmcc", 90_000, 300_000},
+		{"mcf/dylect/high", "mcf", "dylect", 150_000, 500_000},
 	}
 	for _, c := range cells {
 		cr := CellResult{
 			Name: c.name, Workload: c.wl, Design: c.design, Setting: "high",
 			Events: c.events, Insts: c.events * 10,
-			WallNS:     int64(float64(c.wall) * scale),
 			Allocs:     uint64(float64(c.allocs) * scale),
 			AllocBytes: uint64(float64(c.allocs)*scale) * 48,
 		}
@@ -87,10 +83,10 @@ func TestMeasuredSuiteRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
 	}
-	if got.Total.Events == 0 || got.Total.CellsPerSec <= 0 {
+	if got.Total.Events == 0 || got.Total.AllocsPerEvent <= 0 {
 		t.Fatalf("degenerate measured totals: %+v", got.Total)
 	}
-	if got.Env.GoVersion == "" || got.Env.GOMAXPROCS < 1 {
+	if got.Env.GoVersion == "" || got.Env.Count != 2 {
 		t.Fatalf("environment not stamped: %+v", got.Env)
 	}
 }
@@ -104,10 +100,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"unnamed cell":   func(s *Snapshot) { s.Cells[0].Name = "" },
 		"duplicate cell": func(s *Snapshot) { s.Cells[1].Name = s.Cells[0].Name },
 		"zero events":    func(s *Snapshot) { s.Cells[0].Events = 0 },
-		"zero wall":      func(s *Snapshot) { s.Cells[0].WallNS = 0 },
-		"nan dim":        func(s *Snapshot) { s.Cells[0].NSPerEvent = math.NaN() },
+		"nan dim":        func(s *Snapshot) { s.Cells[0].AllocsPerEvent = math.NaN() },
 		"inf dim":        func(s *Snapshot) { s.Cells[0].AllocsPerEvent = math.Inf(1) },
-		"negative dim":   func(s *Snapshot) { s.Cells[0].NSPerEvent = -1 },
+		"negative dim":   func(s *Snapshot) { s.Cells[0].AllocsPerEvent = -1 },
 		"total mismatch": func(s *Snapshot) { s.Total.Cells = 7 },
 	}
 	for name, mutate := range cases {
@@ -168,6 +163,8 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// TestRenderMentionsSpeedup: the report is an allocs/event table per
+// design with no wall-clock column and no speedup line.
 func TestRenderMentionsSpeedup(t *testing.T) {
 	oldSnap, newSnap := testSnapshot(1), testSnapshot(0.5)
 	r, err := Compare(oldSnap, newSnap, DefaultThresholds())
@@ -175,7 +172,43 @@ func TestRenderMentionsSpeedup(t *testing.T) {
 		t.Fatalf("Compare: %v", err)
 	}
 	out := r.Render()
-	if !strings.Contains(out, "overall speedup: 2.00x") {
-		t.Fatalf("render missing speedup line:\n%s", out)
+	for _, want := range []string{"allocs/ev old", "total", "dylect", "tmcc", "0.50x"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	for _, gone := range []string{"speedup", "cells/sec", "ns/ev"} {
+		if strings.Contains(out, gone) {
+			t.Fatalf("render still mentions %q:\n%s", gone, out)
+		}
+	}
+}
+
+// TestCommittedBaselinesDecode: the committed snapshots, written when
+// snapshots still carried wall-clock keys, decode and compare clean
+// against themselves, and a fresh snapshot carries none of those keys.
+func TestCommittedBaselinesDecode(t *testing.T) {
+	for _, name := range []string{"BENCH_1.json", "BENCH_2.json"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r, err := Compare(s, s, DefaultThresholds())
+		if err != nil || len(r.Findings) != 0 {
+			t.Fatalf("%s against itself: %v %+v", name, err, r)
+		}
+	}
+	data, err := testSnapshot(1).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"wallNS", "nsPerEvent", "cellsPerSec", "cpu", "numCPU", "gomaxprocs"} {
+		if strings.Contains(string(data), `"`+key+`"`) {
+			t.Fatalf("fresh snapshot carries %q:\n%s", key, data)
+		}
 	}
 }

@@ -1,16 +1,14 @@
-// Package perfbench is the simulator's performance-trajectory harness: it
-// executes a pinned suite of representative simulation cells, measures
-// throughput (cells/sec), event cost (ns per simulated event), and
-// allocation pressure (allocs per event), and records the results as
-// schema-versioned BENCH_<n>.json snapshots that can be diffed with a
-// configurable regression threshold.
+// Package perfbench is the simulator's allocation-trajectory harness: it
+// executes a pinned suite of representative simulation cells, counts their
+// simulated events, committed instructions and heap allocations, and
+// records the results as schema-versioned BENCH_<n>.json snapshots that
+// can be diffed with a configurable allocs/event threshold.
 //
-// The suite is deliberately frozen: changing it invalidates every committed
-// snapshot, so additions require refreshing the baseline (see DESIGN.md
-// §13). Wall-clock numbers are machine-dependent — snapshots are stamped
-// with the environment and time dimensions are compared warn-only by
-// default — but allocs/event is a deterministic property of the code and
-// gates hard in CI.
+// Every dimension is a deterministic count, so the gate is hard and the
+// host does not matter beyond its Go version. Wall-clock speed is measured
+// by the repository benchmark (dybench/), not here. The suite is
+// deliberately frozen: changing it invalidates every committed snapshot, so
+// additions require refreshing the baseline (see DESIGN.md §13).
 package perfbench
 
 import (

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -97,4 +98,17 @@ func Seconds(sec float64) time.Duration {
 		return time.Duration(ns)
 	}
 	return math.MaxInt64
+}
+
+// Advice reads a rejection's retry advice: the Retry-After header's wait
+// when it is positive, else the error body's retryAfterSec. A malformed
+// header parses as 0, and one under a nanosecond converts to 0, so both
+// defer to the body; an overflowing one parses as +Inf and saturates like
+// any advice too long for a time.Duration.
+func Advice(header string, bodySec float64) time.Duration {
+	sec, _ := strconv.ParseFloat(header, 64)
+	if d := Seconds(sec); d > 0 {
+		return d
+	}
+	return Seconds(bodySec)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -148,4 +149,39 @@ func TestSecondsSaturates(t *testing.T) {
 			t.Errorf("Seconds(%g) = %v, want %v", c.sec, got, c.want)
 		}
 	}
+}
+
+// FuzzAdvice: no header or body makes Advice panic or return a negative
+// wait; a positive header wins over any body; a number means the same wait
+// as a header or as a body; and the wait never shrinks as the advice grows,
+// so huge advice saturates instead of wrapping.
+func FuzzAdvice(f *testing.F) {
+	f.Add("3", 0.5)
+	f.Add("", 2.5)
+	f.Add("0.25", 1e300)
+	f.Add("1e400", 1.0)
+	f.Add("NaN", -1.0)
+	f.Add("soon", 4.0)
+	f.Add(".0000000001", 71.5)
+	f.Fuzz(func(t *testing.T, header string, bodySec float64) {
+		got := Advice(header, bodySec)
+		if got < 0 {
+			t.Fatalf("Advice(%q, %v) = %v, negative", header, bodySec, got)
+		}
+		if h := Advice(header, 0); h > 0 && got != h {
+			t.Fatalf("Advice(%q, %v) = %v: the header's %v lost to the body", header, bodySec, got, h)
+		} else if h == 0 && got != Advice("", bodySec) {
+			t.Fatalf("Advice(%q, %v) = %v: an empty header's %v ignored the body", header, bodySec, got, Advice("", bodySec))
+		}
+		asHeader := Advice(strconv.FormatFloat(bodySec, 'g', -1, 64), 0)
+		if asHeader != Advice("", bodySec) {
+			t.Fatalf("%v seconds: header wait %v, body wait %v", bodySec, asHeader, Advice("", bodySec))
+		}
+		if bodySec > 0 && Advice("", 2*bodySec) < Advice("", bodySec) {
+			t.Fatalf("doubling %v seconds shrank the wait", bodySec)
+		}
+		if bodySec >= math.MaxInt64/float64(time.Second) && Advice("", bodySec) != math.MaxInt64 {
+			t.Fatalf("%v seconds did not saturate: %v", bodySec, Advice("", bodySec))
+		}
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"dylect/internal/retry"
@@ -131,15 +130,7 @@ func (c *Client) do(ctx context.Context, body []byte, id string) (*RunResponse, 
 			apiErr.Code = er.Code
 			apiErr.Msg = er.Error
 		}
-		// Prefer the header (integral seconds) and fall back to the body.
-		if ra := hresp.Header.Get("Retry-After"); ra != "" {
-			if sec, perr := strconv.Atoi(ra); perr == nil {
-				apiErr.RetryAfter = retry.Seconds(float64(sec))
-			}
-		}
-		if apiErr.RetryAfter == 0 {
-			apiErr.RetryAfter = retry.Seconds(er.RetryAfterSec)
-		}
+		apiErr.RetryAfter = retry.Advice(hresp.Header.Get("Retry-After"), er.RetryAfterSec)
 		return nil, apiErr
 	}
 	var out RunResponse

@@ -16,7 +16,7 @@ import (
 // owns the deadline check; the elapsed-time bound proves nothing was slept.
 func TestClientBackoffRespectsDeadline(t *testing.T) {
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 30*time.Second)
+		WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 30*time.Second)
 	}))
 	defer probe.Close()
 
@@ -46,7 +46,7 @@ func TestClientBackoffStillSleepsWithinDeadline(t *testing.T) {
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if first {
 			first = false
-			writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 1*time.Second)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 1*time.Second)
 			return
 		}
 		writeJSON(w, http.StatusOK, RunResponse{})

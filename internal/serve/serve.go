@@ -361,7 +361,7 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 	fail := func(status int, code, msg string, retryAfter time.Duration) (int, string) {
 		tr.Observe("total", s.clock().Sub(began))
 		w.Header().Set(telemetry.HeaderServerTiming, tr.ServerTiming())
-		writeErr(w, status, code, msg, retryAfter)
+		WriteError(w, status, code, msg, retryAfter)
 		return status, code
 	}
 	if !s.isReady() {
@@ -514,9 +514,10 @@ func statusOf(code string) int {
 	return http.StatusServiceUnavailable
 }
 
-// writeErr emits the uniform error body plus a Retry-After header when
-// there is advice to give.
-func writeErr(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
+// WriteError emits the uniform error body plus a Retry-After header when
+// there is advice to give. It is the one error reply of both wire
+// protocols: the service's /v1 endpoints and the fabric's.
+func WriteError(w http.ResponseWriter, status int, code, msg string, retryAfter time.Duration) {
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(math.Ceil(retryAfter.Seconds()))))
 	}

@@ -153,7 +153,7 @@ func TestServeRejectsUnknownExperiment(t *testing.T) {
 	calls := 0
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls++
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "nope", 0)
+		WriteError(w, http.StatusBadRequest, CodeBadRequest, "nope", 0)
 	}))
 	defer probe.Close()
 	c := NewClient(probe.URL, 1)
@@ -472,7 +472,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	var calls atomic.Int32
 	probe := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if calls.Add(1) == 1 {
-			writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 3*time.Second)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 3*time.Second)
 			return
 		}
 		writeJSON(w, http.StatusOK, RunResponse{Results: json.RawMessage("[]")})

@@ -158,7 +158,7 @@ func TestClientReusesRequestIDAcrossRetries(t *testing.T) {
 		ids = append(ids, id)
 		w.Header().Set(telemetry.HeaderRequestID, id)
 		if calls.Add(1) < 3 {
-			writeErr(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 0)
+			WriteError(w, http.StatusTooManyRequests, CodeQueueFull, "busy", 0)
 			return
 		}
 		writeJSON(w, http.StatusOK, RunResponse{Results: json.RawMessage("[]")})

@@ -134,9 +134,11 @@ type Result struct {
 	Window engine.Time
 
 	// Events counts discrete-event-engine events executed over the run
-	// (timed window; warmup is functional and schedules none). It is a
-	// simulator-throughput denominator for the benchmark harness
-	// (internal/perfbench), not a paper metric: RawResult never exports it.
+	// (timed window; warmup is functional and schedules none). It is the
+	// simulator's unit of work, not a paper metric, and RawResult never
+	// exports it: internal/perfbench divides allocations by it and checks
+	// it is equal across repetitions, and dybench divides the timed
+	// window's wall time by it (system.window_ns_per_event).
 	Events uint64
 
 	Insts    uint64

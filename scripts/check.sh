@@ -65,13 +65,15 @@
 #   fuzz     10s smoke per fuzz target: the compressors in ./internal/comp,
 #            the BENCH_*.json snapshot decoder in ./internal/perfbench, the
 #            DRAM scheduler against its scan reference in ./internal/dram,
-#            and the cell-store envelope decoder in ./internal/cellstore
-#   bench    perf-trajectory gate: run the pinned dylect-bench suite and
-#            compare against the newest committed BENCH_*.json snapshot.
-#            allocs/event drift hard-fails; wall-clock drift warns only
-#            (pass -fail-on-time via dylect-bench directly to escalate).
-#            BENCH_COUNT sets the repetitions (default 1 locally, CI uses
-#            more); BENCH_OUT keeps the fresh snapshot as an artifact
+#            the cell-store envelope decoder in ./internal/cellstore, the
+#            Retry-After advice parser in ./internal/retry, and the worker's
+#            CellSpec decode chain in ./internal/harness
+#   bench    allocation-trajectory gate: run the pinned dylect-bench suite
+#            and compare against the newest committed BENCH_*.json
+#            snapshot; allocs/event growth past 2%, in the total or in one
+#            design, fails. BENCH_COUNT sets the repetitions (default 1
+#            locally, CI uses more); BENCH_OUT keeps the fresh snapshot as
+#            an artifact
 #
 # Run a subset with e.g. `scripts/check.sh build lint`. No arguments runs
 # everything. FUZZTIME overrides the per-target fuzz budget (default 10s).
@@ -321,7 +323,7 @@ fi
 if want fuzz; then
 	# `go test -fuzz` refuses a pattern matching more than one target, so
 	# enumerate the targets and smoke each one briefly.
-	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore; do
+	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore ./internal/retry ./internal/harness; do
 		targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
 		if [ -z "$targets" ]; then
 			echo "no fuzz targets found in $pkg" >&2
@@ -335,7 +337,7 @@ if want fuzz; then
 fi
 
 if want bench; then
-	echo "== perf trajectory (pinned suite vs newest committed BENCH_*.json)"
+	echo "== allocation trajectory (pinned suite vs newest committed BENCH_*.json)"
 	base="$(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n | tail -1)"
 	if [ -z "$base" ]; then
 		echo "no committed BENCH_*.json baseline found" >&2
