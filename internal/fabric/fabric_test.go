@@ -4,13 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dylect/internal/cellstore"
 	"dylect/internal/engine"
 	"dylect/internal/harness"
 	"dylect/internal/system"
@@ -133,6 +139,110 @@ func TestFabricClusterByteIdentity(t *testing.T) {
 	if met.Dispatches.Value(w1.URL, OutcomeOK) == 0 || met.Dispatches.Value(w2.URL, OutcomeOK) == 0 {
 		t.Logf("note: dispatch spread w1=%.0f w2=%.0f (ring may legitimately favor one for a tiny sweep)",
 			met.Dispatches.Value(w1.URL, OutcomeOK), met.Dispatches.Value(w2.URL, OutcomeOK))
+	}
+}
+
+// TestFabricMemoHitBytes: once a worker has settled a cell, every dispatch
+// of it answers with the same bytes, those are the record the worker's
+// store holds for the cell and EncodeEnvelope of the cell's payload, and 16
+// dispatches at once change none of that.
+func TestFabricMemoHitBytes(t *testing.T) {
+	cfg := microCfg()
+	hash := harness.ConfigHash(cfg)
+	dir := t.TempDir()
+	cp, err := harness.OpenCheckpointStore(dir, cfg, harness.StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	r := harness.NewRunner(cfg)
+	r.AttachCheckpoint(cp)
+	w := NewWorker(WorkerOptions{Runner: r, Checkpoint: cp, ConfigHash: hash, Schema: system.SchemaVersion})
+	mux := http.NewServeMux()
+	w.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	// The coordinator sends normalized specs, under which the store files
+	// its records; capture one the way a coordinator's runner makes it.
+	var spec harness.CellSpec
+	cr := harness.NewRunner(cfg)
+	cr.SetRemoteExecutor(func(ctx context.Context, s harness.CellSpec) ([]byte, error) {
+		spec = s
+		return r.ExecuteCell(ctx, s)
+	})
+	if _, err := cr.Result("omnetpp", system.DesignTMCC, system.SettingHigh); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: hash, Schema: system.SchemaVersion})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func() ([]byte, error) {
+		resp, err := http.Post(ts.URL+CellPath, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, data)
+		}
+		return data, err
+	}
+	first, err := post()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	records, err := filepath.Glob(filepath.Join(dir, "records", "*", "*.cell"))
+	if err != nil || len(records) != 1 {
+		t.Fatalf("store holds records %q (%v), want one", records, err)
+	}
+	record, err := os.ReadFile(records[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, record) {
+		t.Error("memo-hit body differs from the worker store's record")
+	}
+	payload, err := r.ExecuteCell(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := harness.PayloadKey(hash, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := cellstore.EncodeEnvelope(system.SchemaVersion, key, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Error("memo-hit body differs from EncodeEnvelope of the cell's payload")
+	}
+
+	const n = 16
+	var wg sync.WaitGroup
+	bodies, errs := make([][]byte, n), make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bodies[i], errs[i] = post()
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("dispatch %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(bodies[i], first) {
+			t.Fatalf("concurrent dispatch %d answered different bytes", i)
+		}
+	}
+	if runs := r.Runs(); runs != 1 {
+		t.Errorf("worker simulated %d times, want 1", runs)
 	}
 }
 

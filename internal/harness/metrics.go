@@ -3,10 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"dylect/internal/metrics"
 )
@@ -84,8 +81,11 @@ func (r *Runner) ExportTraceJSON() ([]byte, error) {
 }
 
 // ProfileRow is one cell's wall-clock profile. PeakRSSKB is the process
-// high-water mark at cell completion (from /proc/self/status), so it is
-// monotone across rows rather than per-cell-exclusive.
+// high-water mark at cell completion, so it is monotone across rows rather
+// than per-cell-exclusive. On Linux it is getrusage's ru_maxrss: it tracks
+// /proc/self/status's VmHWM within the kernel's per-thread RSS counter
+// slack, and it also counts the image the process replaced at exec (the go
+// command, under go run). Other platforms report 0.
 type ProfileRow struct {
 	Cell      string  `json:"cell"`
 	Key       string  `json:"key"`
@@ -117,28 +117,4 @@ func (r *Runner) ExportProfileJSON() ([]byte, error) {
 type cellProfile struct {
 	WallNS    int64
 	PeakRSSKB uint64
-}
-
-// peakRSSKB reads the process peak resident set size (VmHWM) from
-// /proc/self/status, in KB; 0 when unavailable (non-Linux).
-func peakRSSKB() uint64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb
-	}
-	return 0
 }

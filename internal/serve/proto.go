@@ -40,6 +40,10 @@ const (
 	CodeCanceled = "canceled"
 )
 
+// MaxRequestBytes bounds every JSON request body the service and the
+// fabric's peers decode; a longer body is refused as a bad request.
+const MaxRequestBytes = 1 << 20
+
 // RunRequest asks the service to execute a set of experiments.
 type RunRequest struct {
 	// Experiments names registered experiments (harness.Names).

@@ -371,7 +371,7 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 	defer s.inflight.Done()
 
 	var req RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
 		return fail(http.StatusBadRequest, CodeBadRequest, "decode request: "+err.Error(), 0)
 	}
 	meta.client = clientOf(req, r)

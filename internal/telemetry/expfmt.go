@@ -136,7 +136,6 @@ func ParseExposition(data []byte) ([]*Family, error) {
 	help := map[string]string{}
 	for ln, line := range strings.Split(string(data), "\n") {
 		lineNo := ln + 1
-		line = strings.TrimRight(line, "\r")
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
@@ -334,7 +333,39 @@ func parseComment(line string) (kind, name, rest string, err error) {
 	if kw == "TYPE" && rest == "" {
 		return "", "", "", fmt.Errorf("TYPE line for %s has no kind", name)
 	}
+	if kw == "HELP" {
+		if rest, err = unescapeHelp(rest); err != nil {
+			return "", "", "", fmt.Errorf("HELP line for %s: %w", name, err)
+		}
+	}
 	return kw, name, rest, nil
+}
+
+// unescapeHelp undoes escapeHelp: HELP text escapes only backslash and line
+// feed. Every other byte, a carriage return included, is the text itself.
+func unescapeHelp(s string) (string, error) {
+	if !strings.Contains(s, `\`) {
+		return s, nil
+	}
+	var sb strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] != '\\' {
+			sb.WriteByte(s[i])
+			continue
+		}
+		i++
+		switch {
+		case i == len(s):
+			return "", fmt.Errorf("dangling escape")
+		case s[i] == '\\':
+			sb.WriteByte('\\')
+		case s[i] == 'n':
+			sb.WriteByte('\n')
+		default:
+			return "", fmt.Errorf("unknown escape \\%c", s[i])
+		}
+	}
+	return sb.String(), nil
 }
 
 // parseSample parses one "name{k="v",...} value" line.

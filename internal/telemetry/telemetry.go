@@ -16,6 +16,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,23 +62,36 @@ type series struct {
 	count       uint64   // histogram
 }
 
-// seriesKey joins label values unambiguously (0x1f cannot appear in a label
-// value that round-trips the exposition format's escaping).
-func seriesKey(values []string) string { return strings.Join(values, "\x1f") }
+// appendSeriesKey appends the key of a label-value tuple to b: each value
+// prefixed with its length, so two distinct tuples never share a key
+// whatever bytes their values hold.
+func appendSeriesKey(b []byte, values []string) []byte {
+	for _, v := range values {
+		b = strconv.AppendInt(b, int64(len(v)), 10)
+		b = append(b, ':')
+		b = append(b, v...)
+	}
+	return b
+}
+
+// lookup returns the series for labelValues, or nil.
+func (f *family) lookup(labelValues []string) *series {
+	var buf [128]byte
+	return f.series[string(appendSeriesKey(buf[:0], labelValues))]
+}
 
 func (f *family) get(labelValues []string) *series {
 	if len(labelValues) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: %s wants %d label values, got %d",
 			f.name, len(f.labels), len(labelValues)))
 	}
-	key := seriesKey(labelValues)
-	s, ok := f.series[key]
-	if !ok {
+	s := f.lookup(labelValues)
+	if s == nil {
 		s = &series{labelValues: append([]string(nil), labelValues...)}
 		if f.kind == KindHistogram {
 			s.bucketCount = make([]uint64, len(f.buckets)+1)
 		}
-		f.series[key] = s
+		f.series[string(appendSeriesKey(nil, labelValues))] = s
 	}
 	return s
 }
@@ -117,7 +131,7 @@ func (g *Gauge) Value(labelValues ...string) float64 { return readValue(g.f, lab
 func readValue(f *family, labelValues []string) float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if s, ok := f.series[seriesKey(labelValues)]; ok {
+	if s := f.lookup(labelValues); s != nil {
 		return s.value
 	}
 	return 0
@@ -142,7 +156,7 @@ func (h *Histogram) Observe(v float64, labelValues ...string) {
 func (h *Histogram) Count(labelValues ...string) uint64 {
 	h.f.mu.Lock()
 	defer h.f.mu.Unlock()
-	if s, ok := h.f.series[seriesKey(labelValues)]; ok {
+	if s := h.f.lookup(labelValues); s != nil {
 		return s.count
 	}
 	return 0
@@ -238,13 +252,12 @@ func (f *family) expose(sb *strings.Builder) {
 	defer f.mu.Unlock()
 	fmt.Fprintf(sb, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 	fmt.Fprintf(sb, "# TYPE %s %s\n", f.name, f.kind)
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
+	all := make([]*series, 0, len(f.series))
+	for _, s := range f.series {
+		all = append(all, s)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		s := f.series[k]
+	slices.SortFunc(all, func(a, b *series) int { return slices.Compare(a.labelValues, b.labelValues) })
+	for _, s := range all {
 		switch f.kind {
 		case KindHistogram:
 			cum := uint64(0)

@@ -19,7 +19,8 @@
 #            waiting, the live fallback when every image slot is taken,
 #            recordings side by side at jobs 8) at -count=20, the fabric
 #            failure paths (a hedged straggler, orphan re-dispatch, a
-#            verify failure re-dispatched) at -count=20, then the
+#            verify failure re-dispatched) and 16 concurrent memo-hit
+#            dispatches of one cell at -count=20, then the
 #            pre-canceled CLI drain report at -count=200, which must be
 #            byte-stable, and the served drain with the listener failed
 #            and the context canceled at once at -count=200, which must
@@ -65,9 +66,12 @@
 #   fuzz     10s smoke per fuzz target: the compressors in ./internal/comp,
 #            the BENCH_*.json snapshot decoder in ./internal/perfbench, the
 #            DRAM scheduler against its scan reference in ./internal/dram,
-#            the cell-store envelope decoder in ./internal/cellstore, the
-#            Retry-After advice parser in ./internal/retry, and the worker's
-#            CellSpec decode chain in ./internal/harness
+#            the cell-store envelope decoder and payload checksum in
+#            ./internal/cellstore, the Retry-After advice parser in
+#            ./internal/retry, the worker's CellSpec decode chain in
+#            ./internal/harness, the fabric's join/leave and cell request
+#            handlers in ./internal/fabric, and request-ID sanitizing and
+#            the exposition round trip in ./internal/telemetry
 #   bench    allocation-trajectory gate: run the pinned dylect-bench suite
 #            and compare against the newest committed BENCH_*.json
 #            snapshot; allocs/event growth past 2%, in the total or in one
@@ -153,7 +157,7 @@ if want stress; then
 		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive)|TestWaitSettled' \
 		./internal/harness
 	go test -race -count=20 -run \
-		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch' \
+		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricMemoHitBytes' \
 		./internal/fabric
 	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
 	go test -race -count=200 -run 'TestServeCancelWinsOverServeError' ./cmd/dylect-served
@@ -323,7 +327,7 @@ fi
 if want fuzz; then
 	# `go test -fuzz` refuses a pattern matching more than one target, so
 	# enumerate the targets and smoke each one briefly.
-	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore ./internal/retry ./internal/harness; do
+	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore ./internal/retry ./internal/harness ./internal/fabric ./internal/telemetry; do
 		targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
 		if [ -z "$targets" ]; then
 			echo "no fuzz targets found in $pkg" >&2

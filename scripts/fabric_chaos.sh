@@ -23,7 +23,10 @@
 #      the reference. The /metrics scrape must show orphans, fired hedges,
 #      and remote-sourced cells, and the surviving processes must drain
 #      cleanly on SIGTERM.
-#   4. Warm restart: a fresh coordinator on the same store with an EMPTY
+#   4. Bad peers: a join announcing "::" to the coordinator and a 2 MiB
+#      /fabric/v1/cell body to worker2 must each be answered 4xx, and the
+#      ring size in the scrape must not move.
+#   5. Warm restart: a fresh coordinator on the same store with an EMPTY
 #      ring re-runs the sweep. It must settle entirely store-sourced —
 #      byte-identical again, no fresh simulations, no remote dispatches.
 #
@@ -110,6 +113,7 @@ w1_pid=$boot_pid
 boot "$dir/worker2.log" worker "${cfg[@]}" -addr 127.0.0.1:0 \
 	-coordinator "http://$coord_addr"
 w2_pid=$boot_pid
+w2_addr=$addr
 boot "$dir/worker3.log" worker "${cfg[@]}" -addr 127.0.0.1:0 \
 	-coordinator "http://$coord_addr" -chaos hang::1 -cell-timeout 5s
 w3_pid=$boot_pid
@@ -137,6 +141,43 @@ metric_nonzero "$dir/metrics-chaos.txt" '^dylect_fabric_orphans_total'
 metric_nonzero "$dir/metrics-chaos.txt" '^dylect_fabric_hedges_total{event="fired"}'
 metric_nonzero "$dir/metrics-chaos.txt" '^dylect_fabric_dispatches_total{.*outcome="ok"'
 metric_nonzero "$dir/metrics-chaos.txt" 'dylect_cells_total{.*source="remote"'
+
+echo "== bad peers: a join of '::' and a 2 MiB cell body must be refused"
+# post_status URL FILE prints the HTTP status of POSTing FILE to URL.
+post_status() {
+	curl -s -o /dev/null -w '%{http_code}' -H 'Content-Type: application/json' \
+		--data-binary "@$2" "$1" || true
+}
+# ring_workers FILE prints the ring size a scrape reports.
+ring_workers() {
+	sed -n 's/^dylect_fabric_ring_workers \(.*\)/\1/p' "$1"
+}
+"$bin" top -addr "http://$coord_addr" -raw >"$dir/metrics-bad-before.txt"
+printf '{"worker":"::"}' >"$dir/bad-join.json"
+{
+	printf '{"configHash":"'
+	head -c $((2 << 20)) /dev/zero | tr '\0' x
+	printf '"}'
+} >"$dir/big-cell.json"
+for probe in "http://$coord_addr/fabric/v1/join:$dir/bad-join.json" \
+	"http://$w2_addr/fabric/v1/cell:$dir/big-cell.json"; do
+	url="${probe%:*}"
+	code=$(post_status "$url" "${probe##*:}")
+	case "$code" in
+	4??) ;;
+	*)
+		echo "POST $url answered $code, want 4xx" >&2
+		exit 1
+		;;
+	esac
+done
+"$bin" top -addr "http://$coord_addr" -raw >"$dir/metrics-bad-after.txt"
+before=$(ring_workers "$dir/metrics-bad-before.txt")
+after=$(ring_workers "$dir/metrics-bad-after.txt")
+if [ -z "$before" ] || [ "$before" != "$after" ]; then
+	echo "ring size moved across the bad peer requests: '$before' -> '$after'" >&2
+	exit 1
+fi
 
 for w in "$w2_pid:$dir/worker2.log" "$w3_pid:$dir/worker3.log"; do
 	stop "${w%%:*}" "${w#*:}"
