@@ -53,7 +53,12 @@ func workerCLI(ctx context.Context, args []string, out, errOut io.Writer) int {
 				if err != nil {
 					return err
 				}
-				b.srv.Runner().SetCellHook(ci.Hook)
+				// Each attempt the script sees is logged before any fault
+				// fires, so a soak can tell when this worker holds a cell.
+				b.srv.Runner().SetCellHook(func(cell string) error {
+					b.logger.Info("chaos cell taken", "cell", cell)
+					return ci.Hook(cell)
+				})
 				fmt.Fprintf(b.errOut, "chaos script armed: %s\n", *chaos)
 			}
 			w = fabric.NewWorker(fabric.WorkerOptions{

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"dylect/internal/atomicio"
@@ -43,7 +44,7 @@ func cli(ctx context.Context, args []string, out, errOut io.Writer) int {
 		storeBudgetMB = fs.Int64("store-budget-mb", 0, "checkpoint store byte budget in MiB; least-recently-used records evict beyond it (0 = unbounded)")
 		cellTO        = fs.Duration("cell-timeout", 0, "per-cell watchdog: abandon a cell producing no result within this duration (0 = off)")
 		retries       = fs.Int("retries", 0, "retry a cell's transient failures up to this many times")
-		backoff       = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between retries (scaled by attempt)")
+		backoff       = fs.Duration("retry-backoff", 100*time.Millisecond, "backoff before the first retry, doubled for each later one")
 
 		metricsOut     = fs.String("metrics-out", "", "write per-cell interval samples as NDJSON to this file (written atomically)")
 		metricsSamples = fs.Int("metrics-samples", 32, "interval samples per cell when -metrics-out is set")
@@ -138,15 +139,13 @@ func cli(ctx context.Context, args []string, out, errOut io.Writer) int {
 		}
 	}
 
+	runner.SetContext(ctx)
+	runner.SetCellTimeout(*cellTO)
+	runner.SetRetries(*retries, *backoff)
+	planned := len(harness.PlanExperiments(runner.Cfg, selected))
 	start := time.Now()
-	outs, err := harness.RunExperiments(runner, selected, harness.ExecOptions{
-		Jobs:         *jobs,
-		Progress:     progressLine(errOut, start),
-		Context:      ctx,
-		CellTimeout:  *cellTO,
-		Retries:      *retries,
-		RetryBackoff: *backoff,
-	})
+	runner.SetCellTelemetry(progressLine(errOut, start, planned))
+	outs, err := harness.RunExperiments(runner, selected, harness.ExecOptions{Jobs: *jobs})
 	fmt.Fprintln(errOut)
 
 	interrupted := ctx != nil && ctx.Err() != nil
@@ -208,17 +207,20 @@ func cli(ctx context.Context, args []string, out, errOut io.Writer) int {
 	return 0
 }
 
-// progressLine returns a cell-completion callback that redraws one
-// carriage-returned progress/ETA line on w.
-func progressLine(w io.Writer, start time.Time) func(done, total int) {
-	return func(done, total int) {
+// progressLine returns a settlement hook that counts settled cells against
+// the planned total and redraws one carriage-returned progress/ETA line on
+// w. A cell the plan missed raises the total with the count.
+func progressLine(w io.Writer, start time.Time, planned int) func(harness.CellSettlement) {
+	var mu sync.Mutex
+	done := 0
+	return func(harness.CellSettlement) {
+		mu.Lock()
+		defer mu.Unlock()
+		done++
+		total := max(planned, done)
 		elapsed := time.Since(start)
-		eta := "?"
-		if done > 0 && total >= done {
-			rem := elapsed / time.Duration(done) * time.Duration(total-done)
-			eta = rem.Round(time.Second).String()
-		}
+		eta := elapsed / time.Duration(done) * time.Duration(total-done)
 		fmt.Fprintf(w, "\rcells %d/%d  elapsed %s  eta %s   ",
-			done, total, elapsed.Round(time.Second), eta)
+			done, total, elapsed.Round(time.Second), eta.Round(time.Second))
 	}
 }

@@ -2,11 +2,15 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dylect/internal/engine"
+	"dylect/internal/harness"
 )
 
 func TestCLIList(t *testing.T) {
@@ -158,6 +162,55 @@ func TestCLICheckpointFlag(t *testing.T) {
 	}
 	if !strings.Contains(errOut2.String(), "0 simulations") {
 		t.Fatalf("resume re-simulated cells:\n%s", errOut2.String())
+	}
+}
+
+// TestCLIProgressLine drives the stderr progress line end to end: a sweep
+// run twice over one -checkpoint directory ends its progress line at
+// "cells N/N" both times, N the plan's size, and the second run settles
+// every cell from the store.
+func TestCLIProgressLine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	args := []string{
+		"-exp", "fig17,fig19", "-workloads", "omnetpp",
+		"-scale", "32", "-warmup", "5000", "-window", "5", "-jobs", "2",
+		"-checkpoint", filepath.Join(t.TempDir(), "ckpt"),
+	}
+	cfg := harness.Full()
+	cfg.Workloads = []string{"omnetpp"}
+	cfg.ScaleDivisor, cfg.WarmupAccesses, cfg.Window = 32, 5000, 5*engine.Microsecond
+	var exps []harness.Experiment
+	for _, name := range []string{"fig17", "fig19"} {
+		e, _ := harness.ByName(name)
+		exps = append(exps, e)
+	}
+	n := len(harness.PlanExperiments(cfg, exps))
+	if n < 2 {
+		t.Fatalf("plan has %d cells, want a sweep of several", n)
+	}
+	for run := 1; run <= 2; run++ {
+		var out, errOut strings.Builder
+		if code := cli(context.Background(), args, &out, &errOut); code != 0 {
+			t.Fatalf("run %d exit %d:\n%s", run, code, out.String())
+		}
+		stderr := errOut.String()
+		last := ""
+		for _, line := range strings.FieldsFunc(stderr, func(r rune) bool { return r == '\r' || r == '\n' }) {
+			if strings.HasPrefix(line, "cells ") {
+				last = line
+			}
+		}
+		if want := fmt.Sprintf("cells %d/%d ", n, n); !strings.HasPrefix(last, want) {
+			t.Fatalf("run %d: last progress line %q, want it to start %q:\n%s", run, last, want, stderr)
+		}
+		if run == 2 {
+			want := fmt.Sprintf("store: %d hits, 0 misses, 0 puts", n)
+			if !strings.Contains(stderr, want) || !strings.Contains(stderr, "\n0 simulations") {
+				t.Fatalf("second run did not settle every cell from the store (want %q, 0 simulations):\n%s", want, stderr)
+			}
+		}
 	}
 }
 

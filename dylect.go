@@ -63,8 +63,7 @@ type (
 	Runner = harness.Runner
 	// Experiment names one regenerable table or figure.
 	Experiment = harness.Experiment
-	// ExecOptions configures a parallel experiment run (worker count,
-	// progress callback).
+	// ExecOptions configures a parallel experiment run (its worker count).
 	ExecOptions = harness.ExecOptions
 	// ExperimentOutput is one experiment's outcome from RunExperiments.
 	ExperimentOutput = harness.ExperimentOutput

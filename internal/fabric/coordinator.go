@@ -53,15 +53,10 @@ type Config struct {
 	// cells. Defaults 1s / 3.
 	Heartbeat time.Duration
 	DeadAfter int
-	// VirtualNodes tunes ring granularity; 0 = default (128).
-	VirtualNodes int
 	// Seed feeds the backoff jitter. Jitter is scheduling, not simulation:
 	// it can never reach an exported byte.
 	Seed int64
 
-	// HTTP dials workers; nil uses a fresh client (leases bound requests,
-	// so no global timeout is set).
-	HTTP *http.Client
 	// Log receives membership and dispatch events; nil discards.
 	Log *slog.Logger
 	// Metrics receives the fabric exposition families; nil disables.
@@ -89,12 +84,13 @@ type lease struct {
 // checkpoint-missing cell, concurrency-bounded by the runner's jobs
 // semaphore.
 type Coordinator struct {
-	cfg   Config
-	ring  *Ring
-	http  *http.Client
-	log   *slog.Logger
-	met   *Metrics
-	clock func() time.Time
+	cfg  Config
+	ring *Ring
+	// http dials workers. Leases bound each request, so it sets no global
+	// timeout.
+	http *http.Client
+	log  *slog.Logger
+	met  *Metrics
 	// jitter draws the retry backoff; it keeps its own lock.
 	jitter *retry.Jitter
 
@@ -138,21 +134,16 @@ func New(cfg Config) *Coordinator {
 	if cfg.DeadAfter <= 0 {
 		cfg.DeadAfter = 3
 	}
-	cl := cfg.HTTP
-	if cl == nil {
-		cl = &http.Client{}
-	}
 	log := cfg.Log
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(cfg.VirtualNodes),
-		http:    cl,
+		ring:    NewRing(),
+		http:    &http.Client{},
 		log:     log,
 		met:     cfg.Metrics,
-		clock:   time.Now,
 		workers: make(map[string]*workerState),
 		leases:  make(map[int64]*lease),
 		jitter:  retry.NewJitter(cfg.Seed),
@@ -556,7 +547,7 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 	if err != nil {
 		return nil, err
 	}
-	start := c.clock()
+	start := time.Now()
 	req, err := http.NewRequestWithContext(leaseCtx, http.MethodPost, worker+CellPath, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -624,7 +615,7 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 	}
 	c.count(worker, OutcomeOK)
 	c.noteSuccess(worker)
-	c.recordLatency(c.clock().Sub(start))
+	c.recordLatency(time.Since(start))
 	return payload, nil
 }
 

@@ -24,19 +24,17 @@ import (
 	"sync"
 )
 
-// defaultVirtualNodes is the per-member virtual-node count. 128 points per
-// member keeps worst-case load skew within ~±20% of fair share for the
-// member counts a sweep cluster sees (1–16) while keeping ring rebuilds
-// trivially cheap.
-const defaultVirtualNodes = 128
+// virtualNodes is the per-member virtual-node count. 128 points per member
+// keeps worst-case load skew within ~±20% of fair share for the member
+// counts a sweep cluster sees (1–16) while keeping ring rebuilds trivially
+// cheap.
+const virtualNodes = 128
 
 // Ring is a consistent-hash ring with virtual nodes. Placement is a pure
 // function of the member set and the key — two coordinators with the same
 // members agree on every placement — and membership change moves only the
 // keys adjacent to the changed member's points (~1/N of the keyspace).
 type Ring struct {
-	vnodes int
-
 	mu      sync.RWMutex
 	points  []ringPoint // sorted by hash
 	members map[string]bool
@@ -47,12 +45,9 @@ type ringPoint struct {
 	member string
 }
 
-// NewRing builds an empty ring. virtualNodes <= 0 selects the default.
-func NewRing(virtualNodes int) *Ring {
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
-	}
-	return &Ring{vnodes: virtualNodes, members: make(map[string]bool)}
+// NewRing builds an empty ring.
+func NewRing() *Ring {
+	return &Ring{members: make(map[string]bool)}
 }
 
 // ringHash is the ring's point/key hash: the first 8 bytes of a SHA-256.
@@ -71,7 +66,7 @@ func (r *Ring) Add(member string) {
 		return
 	}
 	r.members[member] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < virtualNodes; i++ {
 		h := ringHash(fmt.Sprintf("%s#%d", member, i))
 		r.points = append(r.points, ringPoint{hash: h, member: member})
 	}

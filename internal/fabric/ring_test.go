@@ -28,11 +28,11 @@ func workerURLs(n int) []string {
 // owner and every failover list.
 func TestRingDeterministicPlacement(t *testing.T) {
 	workers := workerURLs(7)
-	a := NewRing(0)
+	a := NewRing()
 	for _, w := range workers {
 		a.Add(w)
 	}
-	b := NewRing(0)
+	b := NewRing()
 	for i := len(workers) - 1; i >= 0; i-- {
 		b.Add(workers[i])
 	}
@@ -60,7 +60,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 func TestRingDistributionSkew(t *testing.T) {
 	keys := ringKeys(4000)
 	for n := 1; n <= 16; n++ {
-		r := NewRing(0)
+		r := NewRing()
 		workers := workerURLs(n)
 		for _, w := range workers {
 			r.Add(w)
@@ -92,7 +92,7 @@ func TestRingDistributionSkew(t *testing.T) {
 func TestRingMinimalMovement(t *testing.T) {
 	keys := ringKeys(4000)
 	const n = 8
-	r := NewRing(0)
+	r := NewRing()
 	workers := workerURLs(n + 1)
 	for _, w := range workers[:n] {
 		r.Add(w)
@@ -147,7 +147,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // TestRingReplicas covers the failover list edges: distinct members, bounded
 // by membership, empty on an empty ring.
 func TestRingReplicas(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if got := r.Replicas("x", 3); got != nil {
 		t.Fatalf("empty ring: got %v", got)
 	}

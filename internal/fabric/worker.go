@@ -75,7 +75,6 @@ type WorkerOptions struct {
 type Worker struct {
 	opts     WorkerOptions
 	log      *slog.Logger
-	clock    func() time.Time
 	inflight serve.InFlight
 }
 
@@ -85,7 +84,7 @@ func NewWorker(opts WorkerOptions) *Worker {
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	return &Worker{opts: opts, log: log, clock: time.Now}
+	return &Worker{opts: opts, log: log}
 }
 
 // Register mounts the worker endpoints on mux.
@@ -128,7 +127,7 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 
 	w.inflight.Add()
 	defer w.inflight.Done()
-	start := w.clock()
+	start := time.Now()
 	payload, err := w.opts.Runner.ExecuteCell(req.Context(), cr.Spec)
 	if err != nil {
 		code := harness.CellErrorCodeName(err)
@@ -146,7 +145,7 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.log.Info("fabric cell served", "cell", cr.Spec.CellKey(),
-		"bytes", len(env), "wall_ms", w.clock().Sub(start).Milliseconds())
+		"bytes", len(env), "wall_ms", time.Since(start).Milliseconds())
 	rw.Header().Set("Content-Type", "application/json")
 	rw.WriteHeader(http.StatusOK)
 	rw.Write(env)

@@ -103,14 +103,12 @@ func TestStoreChaosRecoveryByteIdentical(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		r := NewRunner(cfg)
 		r.AttachCheckpoint(cp)
+		r.SetContext(ctx)
 		var once sync.Once
-		_, _ = RunExperiments(r, []Experiment{e}, ExecOptions{
-			Jobs:    1,
-			Context: ctx,
-			Progress: func(done, total int) {
-				once.Do(cancel) // interrupt after the first cell settles
-			},
+		r.SetCellTelemetry(func(CellSettlement) {
+			once.Do(cancel) // interrupt after the first cell settles
 		})
+		_, _ = RunExperiments(r, []Experiment{e}, ExecOptions{Jobs: 1})
 		cancel()
 		cp.Close()
 		if len(storeRecords(t, dir)) == 0 {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"dylect/internal/atomicio"
 	"dylect/internal/cellstore"
@@ -70,10 +69,6 @@ type Checkpoint struct {
 	cfgHash string
 	store   *cellstore.Store
 	log     io.Writer
-
-	mu     sync.Mutex
-	loaded int
-	stored int
 }
 
 // OpenCheckpoint opens (or initializes) a checkpoint directory for cfg with
@@ -137,12 +132,6 @@ func OpenCheckpointStore(dir string, cfg Config, opts StoreOptions) (*Checkpoint
 // Dir returns the checkpoint directory.
 func (c *Checkpoint) Dir() string { return c.dir }
 
-// Loaded reports how many cells were restored from the store this process.
-func (c *Checkpoint) Loaded() int { c.mu.Lock(); defer c.mu.Unlock(); return c.loaded }
-
-// Stored reports how many cells this process persisted.
-func (c *Checkpoint) Stored() int { c.mu.Lock(); defer c.mu.Unlock(); return c.stored }
-
 // StoreStats exposes the underlying store's integrity and traffic counters
 // (verified/quarantined at open, hits, misses, evictions, bytes).
 func (c *Checkpoint) StoreStats() cellstore.Stats { return c.store.Stats() }
@@ -203,9 +192,6 @@ func (c *Checkpoint) Load(key runKey) (*system.Result, *metrics.Data, bool) {
 		fmt.Fprintf(c.log, "checkpoint: cell %s: verified record does not decode (%v); re-simulating\n", key, err)
 		return nil, nil, false
 	}
-	c.mu.Lock()
-	c.loaded++
-	c.mu.Unlock()
 	return res, obs, true
 }
 
@@ -231,9 +217,6 @@ func (c *Checkpoint) AdoptPayload(key runKey, payload []byte) error {
 	if err := c.store.Put(key.storeKey(c.cfgHash), payload); err != nil {
 		return fmt.Errorf("checkpoint: cell %s: %w", key, err)
 	}
-	c.mu.Lock()
-	c.stored++
-	c.mu.Unlock()
 	return nil
 }
 

@@ -210,8 +210,8 @@ func TestCorruptCellIsResimulatedNotFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Stored() != 1 {
-		t.Fatalf("stored %d cells, want 1", cp.Stored())
+	if puts := cp.StoreStats().Puts; puts != 1 {
+		t.Fatalf("stored %d cells, want 1", puts)
 	}
 	corruptOneRecord(t, dir)
 

@@ -72,27 +72,3 @@ func CellErrorCodeName(err error) string {
 		return ""
 	}
 }
-
-// isTransient reports whether err (or anything it wraps, through single or
-// multi-error unwrapping) marks itself retryable via a `Transient() bool`
-// method. Simulator faults and audit violations are deterministic and never
-// match.
-func isTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if t, ok := err.(interface{ Transient() bool }); ok && t.Transient() {
-		return true
-	}
-	switch u := err.(type) {
-	case interface{ Unwrap() error }:
-		return isTransient(u.Unwrap())
-	case interface{ Unwrap() []error }:
-		for _, e := range u.Unwrap() {
-			if isTransient(e) {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -21,7 +21,9 @@ import (
 
 	"dylect/internal/core"
 	"dylect/internal/engine"
+	"dylect/internal/faults"
 	"dylect/internal/metrics"
+	"dylect/internal/retry"
 	"dylect/internal/system"
 	"dylect/internal/trace"
 )
@@ -143,15 +145,16 @@ func (k runKey) String() string {
 // flight is one single-flight cache entry: the first requester simulates,
 // every later requester blocks on done. Exactly one of res/err is set once
 // done is closed. obs carries the cell's recorded observability data (nil
-// when metrics are off); prof its wall-clock profile.
+// when metrics are off); report its settlement record, the one the
+// settlement hook received.
 type flight struct {
 	done chan struct{}
 	// ctx is the starter's context, the one that gates the flight's start.
-	ctx  context.Context
-	res  *system.Result
-	obs  *metrics.Data
-	prof cellProfile
-	err  error
+	ctx    context.Context
+	res    *system.Result
+	obs    *metrics.Data
+	report CellSettlement
+	err    error
 }
 
 // Runner memoizes simulation results behind a single-flight cache and a
@@ -182,14 +185,8 @@ type runnerState struct {
 	cache map[runKey]*flight
 	// sem bounds the number of simulations executing at once (SetJobs).
 	sem chan struct{}
-	// runs counts completed simulations; done counts settled cells
-	// (including failed ones) for progress reporting.
-	runs    int
-	done    int
-	planned int
-	// onProgress, when set, is called with (settled, planned) after each
-	// cell settles, serialized under mu; it must not call Runner methods.
-	onProgress func(done, total int)
+	// runs counts completed simulations.
+	runs int
 
 	// planning short-circuits get: record the key, return a zero Result.
 	// Used by planCells to enumerate an experiment list's cell set.
@@ -208,12 +205,11 @@ type runnerState struct {
 	// the watchdogged goroutine); a non-nil error fails the attempt. It
 	// exists for fault injection (internal/faults.CellInjector).
 	cellHook func(cellKey string) error
-	// cellTelemetry, when set, is called once per settled cell with the
-	// full settlement record (key, wall time, store-vs-fresh provenance,
-	// final error), after the outcome is recorded but before waiters are
-	// released. The serving layer feeds its circuit breaker and /metrics
-	// instruments from it. It must not call back into the Runner's cell
-	// path (Result/get); cache-surgery methods like EvictFailed are safe.
+	// cellTelemetry, when set, is called once per settled cell with its
+	// settlement record, after the outcome is recorded but before waiters
+	// are released. The serving layer feeds its circuit breaker and /metrics
+	// instruments from it, and dylectsim its progress line. It must not call
+	// back into the Runner's cell path (Result/get).
 	cellTelemetry func(CellSettlement)
 	// evictFailed, when true, removes failed cells from the cache once
 	// they settle so a later request re-attempts them. The batch CLI keeps
@@ -317,8 +313,11 @@ func (r *Runner) SetCellTimeout(d time.Duration) {
 }
 
 // SetRetries allows up to n retries of a cell whose failure is transient
-// (an error exposing `Transient() bool`), with linear backoff (attempt *
-// backoff) between attempts. Deterministic failures are never retried.
+// (an error exposing `Transient() bool`). The wait before retry k is
+// retry.Ceiling(backoff, retry.DefaultCap, k): backoff doubled once per
+// earlier retry. A retry whose wait the starter's context cuts short is
+// never started; the cell fails ErrCanceled. Deterministic failures are
+// never retried.
 func (r *Runner) SetRetries(n int, backoff time.Duration) {
 	r.mu.Lock()
 	r.retries = n
@@ -335,18 +334,34 @@ func (r *Runner) SetCellHook(h func(cellKey string) error) {
 	r.mu.Unlock()
 }
 
-// CellSettlement describes one settled cell to the settlement hook: the
-// cell's key, how long settling it took (wall clock — profiling data, never
-// exported deterministically), whether the result was restored from the
-// durable store rather than simulated, whether it was executed remotely by
-// the fabric, and the final error (nil on success).
+// CellSettlement is the record of one settled cell: the Runner's one
+// per-cell report. The settlement hook receives it, and ExportProfileJSON
+// reads it back from the cache.
 type CellSettlement struct {
-	Key       string
+	// Key is the cell key in runKey.String form.
+	Key string
+	// Source says where the result came from: SourceStore, SourceRemote,
+	// or a local simulation whose warmup was SourceRecord, SourceRestore or
+	// SourceLive. It is empty when the cell failed before reaching any of
+	// them, or in an attempt that panicked or was abandoned.
+	Source string
+	// WallNS and PeakRSSKB are profiling data, never exported
+	// deterministically: how long settling took on the wall clock, and the
+	// process's peak RSS when it settled (see ProfileRow).
 	WallNS    int64
-	FromStore bool
-	Remote    bool
-	Err       error
+	PeakRSSKB uint64
+	// Err is the final error, nil on success.
+	Err error
 }
+
+// The values of CellSettlement.Source.
+const (
+	SourceStore   = "store"   // restored from the durable store
+	SourceRemote  = "remote"  // executed by the fabric (SetRemoteExecutor)
+	SourceRecord  = "record"  // simulated, recording its group's warmup image
+	SourceRestore = "restore" // simulated from its group's warmup image
+	SourceLive    = "live"    // simulated with a warmup of its own
+)
 
 // SetCellTelemetry installs the settlement hook, called once per settled
 // cell before waiters are released. The hook must be fast and must not
@@ -369,26 +384,6 @@ func (r *Runner) SetEvictFailedCells(on bool) {
 	r.mu.Lock()
 	r.evictFailed = on
 	r.mu.Unlock()
-}
-
-// EvictFailed removes settled failed cells whose key (runKey.String form)
-// satisfies match from the cache, so later requests re-attempt them, and
-// reports how many were evicted. In-flight and successful cells are never
-// touched. A nil match evicts every settled failure.
-func (r *Runner) EvictFailed(match func(cellKey string) bool) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for k, f := range r.cache {
-		if !settled(f) || f.err == nil {
-			continue
-		}
-		if match == nil || match(k.String()) {
-			delete(r.cache, k)
-			n++
-		}
-	}
-	return n
 }
 
 // AttachCheckpoint makes the runner consult cp before simulating any cell
@@ -507,27 +502,25 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 // crashing the process. ctx is the starter's context: it gates the start,
 // the retry backoff, and (with the watchdog) attempt abandonment.
 //
-//dylect:nondet-ok the watchdog goroutine and the wall-clock profile are scheduling, not simulation; the cell itself is reached from system.RunE and the warmup roots
+//dylect:nondet-ok the watchdog goroutine, the retry backoff and the wall-clock settlement record are scheduling, not simulation; the cell itself is reached from system.RunE and the warmup roots
 func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	defer close(f.done)
-	defer r.noteSettled()
 	// Wall time and peak RSS are profiling data, kept strictly outside the
 	// deterministic exports (ExportJSON never reads them).
 	start := time.Now()
-	fromStore := false
-	viaRemote := false
-	// Settlement bookkeeping: record the profiling row, drop the cell's warm
+	// Settlement bookkeeping: complete the cell's record, drop its warm
 	// lease, evict canceled (and, in service mode, failed) cells so a later
 	// request re-attempts them, and notify the settlement hook. One defer,
-	// not several: the profile must be finalized before the hook runs, the
+	// not several: the record must be complete before the hook runs, the
 	// lease must go before the eviction lets a new flight of the key start,
 	// and stacked defers would execute in the wrong (LIFO) order. Runs after
 	// the recover below finalizes f.err, before waiters wake.
 	defer func() {
-		f.prof = cellProfile{
-			WallNS:    time.Since(start).Nanoseconds(),
-			PeakRSSKB: peakRSSKB(),
-		}
+		rep := &f.report
+		rep.Key = key.String()
+		rep.WallNS = time.Since(start).Nanoseconds()
+		rep.PeakRSSKB = peakRSSKB()
+		rep.Err = f.err
 		r.mu.Lock()
 		r.warmSettle(key)
 		evict := f.err != nil && (r.evictFailed || errors.Is(f.err, ErrCanceled))
@@ -537,13 +530,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		tel := r.cellTelemetry
 		r.mu.Unlock()
 		if tel != nil {
-			tel(CellSettlement{
-				Key:       key.String(),
-				WallNS:    f.prof.WallNS,
-				FromStore: fromStore,
-				Remote:    viaRemote,
-				Err:       f.err,
-			})
+			tel(*rep)
 		}
 	}()
 	defer func() {
@@ -564,9 +551,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 
 	if cp != nil {
 		if res, obs, ok := cp.Load(key); ok {
-			f.res = res
-			f.obs = obs
-			fromStore = true
+			f.res, f.obs, f.report.Source = res, obs, SourceStore
 			return
 		}
 	}
@@ -621,52 +606,56 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	// its error is final; the payload it returns was already adopted into
 	// the checkpoint by remoteCell, so the local Store below is skipped.
 	if remote != nil {
-		viaRemote = true
-		res, obs, err := r.remoteCell(attemptCtx, key, remote, cp)
-		if err != nil {
-			f.err = err
-			return
-		}
-		f.res = res
-		f.obs = obs
+		f.report.Source = SourceRemote
+		f.res, f.obs, f.err = r.remoteCell(attemptCtx, key, remote, cp)
 		return
 	}
 
-	var res *system.Result
-	var obs *metrics.Data
+	var o outcome
 	for attempt := 1; ; attempt++ {
-		var err error
-		res, obs, err = r.attemptCell(attemptCtx, key, timeout, lease)
-		if err == nil {
+		o = r.attemptCell(attemptCtx, key, timeout, lease)
+		f.report.Source = o.source
+		if o.err == nil {
 			break
 		}
-		if isTransient(err) && attempt <= retries && ctx.Err() == nil {
-			if backoff > 0 {
-				select {
-				case <-time.After(time.Duration(attempt) * backoff):
-				case <-ctx.Done():
-				}
-			}
-			continue
+		if !faults.IsTransient(o.err) {
+			f.err = o.err
+			return
 		}
-		if isTransient(err) {
-			err = withCode(ErrTransient, err)
+		if attempt > retries {
+			f.err = withCode(ErrTransient, o.err)
+			return
 		}
-		f.err = err
-		return
+		// The retry policy of internal/retry. A wait the context cuts short
+		// starts no attempt: its simulation would have nobody to report to.
+		if err := retry.Sleep(ctx, retry.Ceiling(backoff, retry.DefaultCap, attempt)); err != nil {
+			f.err = withCode(ErrCanceled,
+				fmt.Errorf("harness: cell %s: retry not started: %w", key, err))
+			return
+		}
 	}
 
 	if cp != nil {
-		if err := cp.Store(key, res, obs); err != nil {
+		if err := cp.Store(key, o.res, o.obs); err != nil {
 			f.err = err
 			return
 		}
 	}
-	f.res = res
-	f.obs = obs
+	f.res = o.res
+	f.obs = o.obs
 	r.mu.Lock()
 	r.runs++
 	r.mu.Unlock()
+}
+
+// outcome is one cell attempt's result. source is how the attempt warmed up
+// (SourceRecord, SourceRestore or SourceLive), empty when it failed before
+// its warmup, panicked or was abandoned.
+type outcome struct {
+	res    *system.Result
+	obs    *metrics.Data
+	source string
+	err    error
 }
 
 // attemptCell runs one simulation attempt in a child goroutine so the
@@ -675,16 +664,11 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 // buffered channel and is discarded. The starter's context composes with
 // the watchdog: whichever fires first abandons the attempt, so a request
 // deadline bounds cell execution even without -cell-timeout.
-func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration, lease *warmLease) (*system.Result, *metrics.Data, error) {
+func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration, lease *warmLease) outcome {
 	r.mu.Lock()
 	hook := r.cellHook
 	r.mu.Unlock()
 
-	type outcome struct {
-		res *system.Result
-		obs *metrics.Data
-		err error
-	}
 	ch := make(chan outcome, 1)
 	go func() {
 		defer func() {
@@ -699,12 +683,11 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 				return
 			}
 		}
-		res, obs, err := r.simulate(key, lease)
-		if err != nil {
-			ch <- outcome{err: fmt.Errorf("harness: cell %s: %w", key, err)}
-			return
+		o := r.simulate(key, lease)
+		if o.err != nil {
+			o.err = fmt.Errorf("harness: cell %s: %w", key, o.err)
 		}
-		ch <- outcome{res: res, obs: obs}
+		ch <- o
 	}()
 
 	var watchdog <-chan time.Time
@@ -715,13 +698,13 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 	}
 	select {
 	case o := <-ch:
-		return o.res, o.obs, o.err
+		return o
 	case <-watchdog:
-		return nil, nil, withCode(ErrCellTimeout,
-			fmt.Errorf("harness: cell %s: no result after %v; watchdog abandoned the worker", key, timeout))
+		return outcome{err: withCode(ErrCellTimeout,
+			fmt.Errorf("harness: cell %s: no result after %v; watchdog abandoned the worker", key, timeout))}
 	case <-ctx.Done():
-		return nil, nil, withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: attempt abandoned: %w", key, ctx.Err()))
+		return outcome{err: withCode(ErrCanceled,
+			fmt.Errorf("harness: cell %s: attempt abandoned: %w", key, ctx.Err()))}
 	}
 }
 
@@ -761,12 +744,13 @@ func (r *Runner) options(key runKey) (system.Options, error) {
 
 // simulate performs the actual system run for a cell, returning the
 // recorded observability data when the config enables metrics. The cell's
-// warm lease (nil for none) selects how it warms up: restoring its group's
-// image, recording the image for the group, or live.
-func (r *Runner) simulate(key runKey, lease *warmLease) (*system.Result, *metrics.Data, error) {
+// warm lease (nil for none) selects how it warms up, which the outcome's
+// source reports: restoring its group's image, recording the image for the
+// group, or live.
+func (r *Runner) simulate(key runKey, lease *warmLease) outcome {
 	opts, err := r.options(key)
 	if err != nil {
-		return nil, nil, err
+		return outcome{err: err}
 	}
 	var rec *metrics.Recorder
 	if r.Cfg.MetricsSamples > 0 || r.Cfg.Trace {
@@ -779,41 +763,28 @@ func (r *Runner) simulate(key runKey, lease *warmLease) (*system.Result, *metric
 	opts.Obs = rec
 	m, err := system.Build(opts)
 	if err != nil {
-		return nil, nil, err
+		return outcome{err: err}
 	}
+	var o outcome
 	switch img, record := r.warmTake(lease); {
 	case img != nil:
+		o.source = SourceRestore
 		if err := m.Restore(img); err != nil {
-			return nil, nil, err
+			o.err = err
+			return o
 		}
 		r.warmRestored(lease)
 	case record:
+		o.source = SourceRecord
 		r.warmPublish(lease, m.WarmupRecorded())
 	default:
+		o.source = SourceLive
 		m.Warmup()
 	}
-	res, err := m.Finish()
-	if err != nil {
-		return nil, nil, err
+	if o.res, o.err = m.Finish(); o.err == nil && rec != nil {
+		o.obs = rec.Data()
 	}
-	if rec == nil {
-		return res, nil, nil
-	}
-	return res, rec.Data(), nil
-}
-
-// noteSettled records one settled cell and fires the progress callback.
-func (r *Runner) noteSettled() {
-	r.mu.Lock()
-	r.done++
-	done, total := r.done, r.planned
-	if done > total {
-		total = done
-	}
-	if cb := r.onProgress; cb != nil {
-		cb(done, total)
-	}
-	r.mu.Unlock()
+	return o
 }
 
 // ScaledCTECache scales a paper-sized CTE cache with the footprint scale so

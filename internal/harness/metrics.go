@@ -93,7 +93,8 @@ type ProfileRow struct {
 	PeakRSSKB uint64  `json:"peakRSSKB"`
 }
 
-// ExportProfileJSON serializes per-cell wall time and peak RSS. This export
+// ExportProfileJSON serializes per-cell wall time and peak RSS from each
+// completed cell's settlement record (CellSettlement). This export
 // is intentionally separate from ExportJSON: wall time varies run to run,
 // and mixing it into the deterministic export would break byte-compare
 // guarantees.
@@ -106,15 +107,9 @@ func (r *Runner) ExportProfileJSON() ([]byte, error) {
 		out = append(out, ProfileRow{
 			Cell:      k.String(),
 			Key:       k.fileKey(),
-			WallMS:    float64(f.prof.WallNS) / 1e6,
-			PeakRSSKB: f.prof.PeakRSSKB,
+			WallMS:    float64(f.report.WallNS) / 1e6,
+			PeakRSSKB: f.report.PeakRSSKB,
 		})
 	}
 	return json.MarshalIndent(out, "", "  ")
-}
-
-// cellProfile is the per-cell profiling record kept on a flight.
-type cellProfile struct {
-	WallNS    int64
-	PeakRSSKB uint64
 }

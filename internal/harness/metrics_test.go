@@ -145,7 +145,7 @@ func TestCheckpointResumeReproducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp1.Stored() == 0 {
+	if cp1.StoreStats().Puts == 0 {
 		t.Fatal("first run stored no cells")
 	}
 
@@ -154,7 +154,7 @@ func TestCheckpointResumeReproducesMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	second := runObs(t, cfg, 4, cp2)
-	if cp2.Loaded() == 0 {
+	if cp2.StoreStats().Hits == 0 {
 		t.Fatal("resume loaded no cells; sidecars missing?")
 	}
 	secondND, err := second.ExportMetricsNDJSON()

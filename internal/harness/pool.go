@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 )
 
 // This file is the parallel experiment executor. The flow is:
@@ -31,24 +29,12 @@ import (
 // key plus the Runner config, independent of scheduling. pool_test.go pins
 // this with a jobs=1 vs jobs=N byte-equivalence test.
 
-// ExecOptions configures a parallel experiment run.
+// ExecOptions configures a parallel experiment run. The runner's own
+// setters hold every other knob: SetContext, SetCellTimeout, SetRetries,
+// and SetCellTelemetry for per-cell progress.
 type ExecOptions struct {
 	// Jobs bounds concurrent simulations; <=0 means GOMAXPROCS.
 	Jobs int
-	// Progress, when set, is called after each cell settles with the
-	// number of settled cells and the planned total. Calls are serialized;
-	// the callback must not call back into the Runner.
-	Progress func(done, total int)
-	// Context, when set, gates cell starts: canceling it drains the pool
-	// gracefully (running cells finish and checkpoint, queued cells fail
-	// fast) so partial results stay exportable.
-	Context context.Context
-	// CellTimeout arms the per-cell watchdog (0 = no watchdog).
-	CellTimeout time.Duration
-	// Retries bounds per-cell retries of transient failures, spaced by
-	// attempt*RetryBackoff.
-	Retries      int
-	RetryBackoff time.Duration
 }
 
 // ExperimentOutput is one experiment's outcome from RunExperiments.
@@ -73,37 +59,7 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 		jobs = runtime.GOMAXPROCS(0)
 	}
 	r.SetJobs(jobs)
-	if opts.Context != nil {
-		r.SetContext(opts.Context)
-	}
-	if opts.CellTimeout > 0 {
-		r.SetCellTimeout(opts.CellTimeout)
-	}
-	if opts.Retries > 0 {
-		r.SetRetries(opts.Retries, opts.RetryBackoff)
-	}
-
-	plan := planCells(r.Cfg, exps)
-	r.mu.Lock()
-	// Planned total = cells already settled plus planned cells not yet
-	// cached, so re-running experiments on a warm runner still ends with
-	// done == total.
-	fresh := 0
-	for _, key := range plan {
-		if _, ok := r.cache[key]; !ok {
-			fresh++
-		}
-	}
-	r.planned = r.done + fresh
-	r.onProgress = opts.Progress
-	r.mu.Unlock()
-
-	outs := runPlan(r, plan, exps)
-
-	r.mu.Lock()
-	r.onProgress = nil
-	r.mu.Unlock()
-
+	outs := runPlan(r, planCells(r.Cfg, exps), exps)
 	var errs []error
 	for i := range outs {
 		if outs[i].Err != nil {
@@ -187,8 +143,8 @@ func (r *Runner) FreshCost(exps []Experiment) int {
 }
 
 // RunShared executes experiments against a runner view without mutating any
-// runner-global knob: no worker-pool resize, no global context, no progress
-// rewiring. It is the request-scoped counterpart of RunExperiments for a
+// runner-global knob: no worker-pool resize. It is the request-scoped
+// counterpart of RunExperiments for a
 // long-lived service where many requests share one memoizing runner — each
 // request wraps the shared runner with WithContext and calls RunShared, so
 // its deadline gates only its own cells and waits. Outputs are returned in

@@ -221,8 +221,10 @@ func TestScaledAwayFootprintError(t *testing.T) {
 	}
 }
 
-// TestProgressCallback checks the progress stream: monotone, serialized,
-// and finishing at done == total.
+// TestProgressCallback checks the progress stream dylectsim draws from the
+// settlement hook against the plan's size: each call settles a cell not
+// seen before, so the count of settled cells is monotone, and it finishes
+// at done == total.
 func TestProgressCallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -230,17 +232,16 @@ func TestProgressCallback(t *testing.T) {
 	r := NewRunner(microConfig())
 	var mu sync.Mutex
 	var dones []int
-	lastTotal := 0
+	seen := map[string]bool{}
 	e, _ := ByName("fig19")
-	_, err := RunExperiments(r, []Experiment{e}, ExecOptions{
-		Jobs: 4,
-		Progress: func(done, total int) {
-			mu.Lock()
-			dones = append(dones, done)
-			lastTotal = total
-			mu.Unlock()
-		},
+	lastTotal := len(PlanExperiments(r.Cfg, []Experiment{e}))
+	r.SetCellTelemetry(func(s CellSettlement) {
+		mu.Lock()
+		seen[s.Key] = true
+		dones = append(dones, len(seen))
+		mu.Unlock()
 	})
+	_, err := RunExperiments(r, []Experiment{e}, ExecOptions{Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -298,7 +298,7 @@ func TestPeakRSSSeesTouchedMemory(t *testing.T) {
 	if _, err := r.result(key); err == nil {
 		t.Fatal("hooked cell did not fail")
 	}
-	got := r.cache[key].prof.PeakRSSKB
+	got := r.cache[key].report.PeakRSSKB
 	runtime.KeepAlive(buf)
 	if runtime.GOOS != "linux" {
 		if got != 0 {
@@ -350,7 +350,7 @@ func TestRemoteExecutorSettlesCells(t *testing.T) {
 		return workerR.ExecuteCell(ctx, spec)
 	})
 	coordR.SetCellTelemetry(func(s CellSettlement) {
-		if s.Remote && s.Err == nil {
+		if s.Source == SourceRemote && s.Err == nil {
 			remoteSettled.Add(1)
 		}
 	})

@@ -95,11 +95,35 @@ func TestTransientRetryBudgetExhausted(t *testing.T) {
 	if !errors.Is(err, ErrTransient) {
 		t.Fatalf("exhausted retry not classified as ErrTransient: %v", err)
 	}
-	if !isTransient(err) {
+	if !faults.IsTransient(err) {
 		t.Fatalf("Transient() marker lost through wrapping: %v", err)
 	}
 	if got := ci.Attempts("omnetpp/tmcc/high"); got != 2 {
 		t.Fatalf("attempts = %d, want 2 (initial + 1 retry)", got)
+	}
+}
+
+// TestTransientRetryStopsAtDeadline: a request view's deadline that passes
+// before the retry backoff ends starts no further attempt (nobody would wait
+// for its simulation); the cell settles ErrCanceled after one attempt.
+func TestTransientRetryStopsAtDeadline(t *testing.T) {
+	r := NewRunner(microConfig())
+	ci := faults.NewCellInjector()
+	ci.Script("omnetpp/tmcc/high", faults.CellSpec{Kind: faults.CellTransient, Fail: 1})
+	r.SetCellHook(ci.Hook)
+	r.SetRetries(2, 300*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+
+	_, err := r.WithContext(ctx).Result("omnetpp", system.DesignTMCC, system.SettingHigh)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("cell whose retry outlived the deadline settled %v, want ErrCanceled", err)
+	}
+	// An attempt started after the deadline would reach the hook at once;
+	// give it time to.
+	time.Sleep(200 * time.Millisecond)
+	if got := ci.Attempts("omnetpp/tmcc/high"); got != 1 {
+		t.Fatalf("attempts = %d, want 1: a retry started after the deadline", got)
 	}
 }
 
@@ -203,15 +227,13 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	defer cancel()
 	r1 := NewRunner(cfg)
 	r1.AttachCheckpoint(cp1)
+	r1.SetContext(ctx)
 	var once sync.Once
-	_, _ = RunExperiments(r1, []Experiment{e}, ExecOptions{
-		Jobs:    1,
-		Context: ctx,
-		Progress: func(done, total int) {
-			once.Do(cancel)
-		},
+	r1.SetCellTelemetry(func(CellSettlement) {
+		once.Do(cancel)
 	})
-	stored := cp1.Stored()
+	_, _ = RunExperiments(r1, []Experiment{e}, ExecOptions{Jobs: 1})
+	stored := cp1.StoreStats().Puts
 	if stored == 0 {
 		t.Fatal("nothing checkpointed before the interruption")
 	}
@@ -226,6 +248,7 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 	r2 := NewRunner(cfg)
 	r2.AttachCheckpoint(cp2)
+	src := countSources(r2)
 	if _, err := RunExperiments(r2, []Experiment{e}, ExecOptions{Jobs: 8}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,8 +259,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("resumed export differs from uninterrupted run\n%s", diffHint(string(want), string(got)))
 	}
-	if cp2.Loaded() != stored {
-		t.Errorf("resume loaded %d cells, checkpoint held %d", cp2.Loaded(), stored)
+	if loaded := src.n[SourceStore]; loaded != stored {
+		t.Errorf("resume loaded %d cells, checkpoint held %d", loaded, stored)
 	}
 	if r2.Runs() != planned-stored {
 		t.Errorf("resume simulated %d cells, want %d (%d checkpointed)",

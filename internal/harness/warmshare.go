@@ -48,8 +48,6 @@ type warmShare struct {
 	leases map[runKey]*warmLease
 	// images counts the groups holding an image slot.
 	images int
-	// recorded and restored count images frozen and restores made.
-	recorded, restored int
 }
 
 // plannedCell is a fresh planned cell whose flight the plan created and will
@@ -244,20 +242,16 @@ func (r *Runner) warmPublish(l *warmLease, img *system.WarmImage) {
 	}
 	g.recorder = nil
 	g.img = img
-	r.warm.recorded++
 	close(g.wake)
 	g.wake = make(chan struct{})
 	r.warmLeave(l)
 }
 
-// warmRestored records that l's cell has restored its image.
+// warmRestored ends l's membership once its cell has restored the image.
 func (r *Runner) warmRestored(l *warmLease) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if l.member {
-		r.warm.restored++
-		r.warmLeave(l)
-	}
+	r.warmLeave(l)
 }
 
 // warmSettle drops a settling cell's lease on every settle path (success,

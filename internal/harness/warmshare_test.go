@@ -45,11 +45,29 @@ func experimentsNamed(t *testing.T, names ...string) []Experiment {
 
 var paperFigures = []string{"fig17", "fig18", "fig19", "fig20", "fig21", "fig22", "fig23", "fig24"}
 
-// warmCounts reads the runner's recorded and restored warmup counts.
-func warmCounts(r *Runner) (recorded, restored int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.warm.recorded, r.warm.restored
+// sourceCounts tallies a runner's settled cells by CellSettlement.Source.
+type sourceCounts struct {
+	mu sync.Mutex
+	n  map[string]int
+}
+
+// countSources installs a settlement hook on r that tallies each settled
+// cell's Source.
+func countSources(r *Runner) *sourceCounts {
+	c := &sourceCounts{n: map[string]int{}}
+	r.SetCellTelemetry(func(s CellSettlement) {
+		c.mu.Lock()
+		c.n[s.Source]++
+		c.mu.Unlock()
+	})
+	return c
+}
+
+// warmCounts reads how many settled cells recorded and restored a warmup.
+func warmCounts(c *sourceCounts) (recorded, restored int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[SourceRecord], c.n[SourceRestore]
 }
 
 // checkNoLiveImage fails if the runner still holds a warm image or lease.
@@ -116,11 +134,12 @@ func TestSharedWarmupMatchesLiveEveryExperiment(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	r := NewRunner(sharedConfig("omnetpp", "canneal"))
+	src := countSources(r)
 	if _, err := RunExperiments(r, Experiments(), ExecOptions{Jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	checkNoLiveImage(t, r)
-	recorded, restored := warmCounts(r)
+	recorded, restored := warmCounts(src)
 	if recorded == 0 || restored == 0 {
 		t.Fatalf("shared path unused: %d recorded, %d restored", recorded, restored)
 	}
@@ -155,10 +174,11 @@ func TestSharedWarmupCounts(t *testing.T) {
 	}
 	for _, jobs := range []int{1, 2} {
 		r := NewRunner(tinySharedConfig(Quick().Workloads...))
+		src := countSources(r)
 		if _, err := RunExperiments(r, experimentsNamed(t, paperFigures...), ExecOptions{Jobs: jobs}); err != nil {
 			t.Fatal(err)
 		}
-		if recorded, restored := warmCounts(r); recorded != 4 || restored != 24 {
+		if recorded, restored := warmCounts(src); recorded != 4 || restored != 24 {
 			t.Errorf("jobs=%d: %d warmups recorded and %d restored, want 4 and 24", jobs, recorded, restored)
 		}
 		if n := r.Runs(); n != 28 {
@@ -177,6 +197,7 @@ func TestSharedWarmupRecordsSideBySide(t *testing.T) {
 	}
 	const jobs, groups = 8, 4
 	r := NewRunner(tinySharedConfig(Quick().Workloads...))
+	src := countSources(r)
 	var entered atomic.Int32
 	all := make(chan struct{})
 	r.SetCellHook(func(string) error {
@@ -195,7 +216,7 @@ func TestSharedWarmupRecordsSideBySide(t *testing.T) {
 	if _, err := RunExperiments(r, experimentsNamed(t, paperFigures...), ExecOptions{Jobs: jobs}); err != nil {
 		t.Fatal(err)
 	}
-	if recorded, restored := warmCounts(r); recorded != 4 || restored != 24 {
+	if recorded, restored := warmCounts(src); recorded != 4 || restored != 24 {
 		t.Errorf("%d warmups recorded and %d restored, want 4 and 24", recorded, restored)
 	}
 	checkNoLiveImage(t, r)
@@ -211,9 +232,12 @@ func TestSharedWarmupImagesAreReleased(t *testing.T) {
 	r := NewRunner(tinySharedConfig("omnetpp", "bfs"))
 	var seen sync.Map
 	var frozen, collected atomic.Int32
-	// The progress callback runs under the runner's lock, so it may read
-	// the registry: arm a finalizer on each live image without keeping it.
-	watch := func(int, int) {
+	// The settlement hook runs outside the runner's lock, so it may take it
+	// to read the registry: arm a finalizer on each live image without
+	// keeping it.
+	r.SetCellTelemetry(func(CellSettlement) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		for _, l := range r.warm.leases {
 			if img := l.g.img; img != nil {
 				if _, dup := seen.LoadOrStore(reflect.ValueOf(img).Pointer(), true); !dup {
@@ -222,8 +246,8 @@ func TestSharedWarmupImagesAreReleased(t *testing.T) {
 				}
 			}
 		}
-	}
-	if _, err := RunExperiments(r, experimentsNamed(t, "fig17", "fig18"), ExecOptions{Jobs: 2, Progress: watch}); err != nil {
+	})
+	if _, err := RunExperiments(r, experimentsNamed(t, "fig17", "fig18"), ExecOptions{Jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	checkNoLiveImage(t, r)
@@ -268,11 +292,12 @@ func TestSharedWarmupStoreHitsReleaseClaims(t *testing.T) {
 	}
 	r := NewRunner(cfg)
 	r.AttachCheckpoint(cp)
+	src := countSources(r)
 	if _, err := RunExperiments(r, experimentsNamed(t, "fig17", "fig18"), ExecOptions{Jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	checkNoLiveImage(t, r)
-	if recorded, restored := warmCounts(r); recorded != 1 || restored == 0 {
+	if recorded, restored := warmCounts(src); recorded != 1 || restored == 0 {
 		t.Fatalf("%d recorded, %d restored alongside store hits", recorded, restored)
 	}
 	var hits []runKey
@@ -289,6 +314,7 @@ func TestSharedWarmupStoreHitsReleaseClaims(t *testing.T) {
 // a waiter records again and the others restore, all matching live RunE.
 func TestSharedWarmupRecorderPanic(t *testing.T) {
 	r := NewRunner(tinySharedConfig("omnetpp"))
+	src := countSources(r)
 	var calls atomic.Int32
 	var victim atomic.Value
 	r.SetCellHook(func(key string) error {
@@ -324,7 +350,7 @@ func TestSharedWarmupRecorderPanic(t *testing.T) {
 	if failed != 1 {
 		t.Fatalf("%d cells failed, want exactly the recorder", failed)
 	}
-	if recorded, restored := warmCounts(r); recorded != 1 || restored != n-2 {
+	if recorded, restored := warmCounts(src); recorded != 1 || restored != n-2 {
 		t.Errorf("%d recorded, %d restored; want 1 re-recording and %d restores", recorded, restored, n-2)
 	}
 	checkNoLiveImage(t, r)
@@ -346,7 +372,8 @@ func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 4, Context: ctx})
+	r.SetContext(ctx)
+	_, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 4})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want a canceled sweep, got %v", err)
 	}
@@ -362,7 +389,8 @@ func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 	r.mu.Unlock()
 	checkNoLiveImage(t, r)
 	// The canceled waiters were evicted; a later run completes the group.
-	if _, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 4, Context: context.Background()}); err != nil {
+	r.SetContext(context.Background())
+	if _, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 4}); err != nil {
 		t.Fatal(err)
 	}
 	checkNoLiveImage(t, r)
@@ -379,6 +407,7 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	}
 	r := NewRunner(tinySharedConfig("omnetpp", "bfs"))
 	r.SetJobs(2)
+	src := countSources(r)
 	holding, release := make(chan struct{}), make(chan struct{})
 	var entered atomic.Int32
 	r.SetCellHook(func(key string) error {
@@ -428,7 +457,7 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 			t.Fatal("second request's cells did not choose live warmup while every image slot was held")
 		}
 	}
-	if recorded, restored := warmCounts(r); recorded != 0 || restored != 0 {
+	if recorded, restored := warmCounts(src); recorded != 0 || restored != 0 {
 		t.Fatalf("an image was published while both recorders were held: %d recorded, %d restored", recorded, restored)
 	}
 	unblock()
@@ -447,7 +476,7 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	r.mu.Unlock()
 	// The first request's two groups each recorded once and restored every
 	// other member; the canneal cells neither recorded nor restored.
-	if recorded, restored := warmCounts(r); recorded != 2 || restored != firstCells-2 {
+	if recorded, restored := warmCounts(src); recorded != 2 || restored != firstCells-2 {
 		t.Fatalf("%d recorded and %d restored, want 2 and %d (none for the second request)", recorded, restored, firstCells-2)
 	}
 	checkNoLiveImage(t, r)

@@ -1,7 +1,9 @@
-// Package retry is the one retry policy of the repository's retrying
-// clients, the experiment-service client (internal/serve) and the fabric
-// coordinator's dispatch loop (internal/fabric): the backoff schedule, its
-// jitter draw, the Retry-After rule and the deadline-aware sleep.
+// Package retry is the one retry policy of the repository: the
+// experiment-service client (internal/serve) and the fabric coordinator's
+// dispatch loop (internal/fabric) draw jittered waits from it, and the
+// harness's transient-cell retries (internal/harness) wait its Ceiling. It
+// holds the backoff schedule, its jitter draw, the Retry-After rule and the
+// deadline-aware sleep.
 package retry
 
 import (
@@ -69,11 +71,15 @@ func (j *Jitter) Delay(base, limit time.Duration, attempt int, advice time.Durat
 	return time.Duration(j.rng.Int63n(int64(ceil))) + 1
 }
 
-// Sleep waits d, or until ctx is done, when it returns ctx.Err(). A wait
-// that would outlive ctx's deadline is a guaranteed failure, so Sleep
-// returns context.DeadlineExceeded at once instead of sleeping through the
+// Sleep waits d, or until ctx is done, when it returns ctx.Err(); a ctx
+// already done returns at once, whatever d. A wait that would outlive ctx's
+// deadline is a guaranteed failure, so Sleep returns
+// context.DeadlineExceeded at once instead of sleeping through the
 // remaining budget first.
 func Sleep(ctx context.Context, d time.Duration) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < d {
 		return fmt.Errorf("retry: %v backoff would outlive the deadline: %w", d, context.DeadlineExceeded)
 	}

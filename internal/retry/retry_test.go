@@ -109,6 +109,9 @@ func TestSleep(t *testing.T) {
 		{"canceled", func() (context.Context, context.CancelFunc) {
 			return canceled, func() {}
 		}, time.Hour, context.Canceled, 0, 500 * time.Millisecond},
+		{"canceled, no wait", func() (context.Context, context.CancelFunc) {
+			return canceled, func() {}
+		}, 0, context.Canceled, 0, 500 * time.Millisecond},
 		{"canceled mid-sleep", func() (context.Context, context.CancelFunc) {
 			ctx, cancel := context.WithCancel(context.Background())
 			time.AfterFunc(20*time.Millisecond, cancel)

@@ -25,7 +25,7 @@ import (
 //	dylect_queue_cost                      gauge      queued fresh-cell cost
 //	dylect_running_cost                    gauge      admitted fresh-cell cost
 //	dylect_cell_seconds{class}             histogram  fresh cell execution time
-//	dylect_cells_total{class,source}       counter    settled cells, fresh|store
+//	dylect_cells_total{class,source}       counter    settled cells, fresh|store|remote
 //	dylect_cell_failures_total{class,code} counter    failed cells by error code
 //	dylect_breaker_transitions_total{class,to} counter breaker state entries
 //	dylect_breaker_open_classes            gauge      classes not closed (at scrape)
@@ -138,18 +138,18 @@ func (t *Telemetry) observeCell(s harness.CellSettlement) {
 		t.cellFailures.Inc(class, code)
 		return
 	}
-	if s.FromStore {
+	switch s.Source {
+	case harness.SourceStore:
 		t.cells.Inc(class, "store")
 		return
-	}
-	if s.Remote {
+	case harness.SourceRemote:
 		// Dispatched over the fabric: the wall time is dispatch latency
 		// (queue + remote simulation + transfer), still worth a histogram.
 		t.cells.Inc(class, "remote")
-		t.cellSeconds.Observe(float64(s.WallNS)/1e9, class)
-		return
+	default:
+		// Simulated here, whether its warmup was recorded, restored or live.
+		t.cells.Inc(class, "fresh")
 	}
-	t.cells.Inc(class, "fresh")
 	t.cellSeconds.Observe(float64(s.WallNS)/1e9, class)
 }
 

@@ -9,20 +9,25 @@
 #   1. Run the sweep through a single dylect-served process (-jobs 8) and
 #      keep the client's -json response as the reference.
 #   2. Boot a coordinator (durable store, fast heartbeat, 2s hedge delay)
-#      and three workers that join by announcement:
-#        worker1  -chaos hang:    every cell hangs forever — its dispatches
-#                                 are in-flight when it is SIGKILLed, so the
-#                                 transport break orphans them mid-lease
+#      and worker1, which joins by announcement and is the ring's only
+#      member when the sweep starts:
+#        worker1  -chaos hang:    every cell hangs forever, with no
+#                                 watchdog, so each cell it takes holds its
+#                                 lease until the worker dies
+#   3. Sweep through the coordinator. Every first dispatch goes to worker1;
+#      once worker1's log shows a cell taken ("chaos cell taken"), boot two
+#      more workers, which join the ring, then SIGKILL worker1. The
+#      transport break orphans the leases it held, so orphans are certain
+#      whatever the ring's hashing:
 #        worker2  clean
 #        worker3  -chaos hang::1  first attempt of every cell hangs past the
 #                                 hedge delay — the coordinator must hedge to
 #                                 the next replica while worker3's watchdog
 #                                 and retry grind through the straggler
-#   3. Sweep through the coordinator; SIGKILL worker1 one second in. The
-#      client must still exit 0 and its response must be byte-identical to
-#      the reference. The /metrics scrape must show orphans, fired hedges,
-#      and remote-sourced cells, and the surviving processes must drain
-#      cleanly on SIGTERM.
+#      The client must still exit 0 and its response must be byte-identical
+#      to the reference. The /metrics scrape must show orphans, fired
+#      hedges, and remote-sourced cells, and the surviving processes must
+#      drain cleanly on SIGTERM.
 #   4. Bad peers: a join announcing "::" to the coordinator and a 2 MiB
 #      /fabric/v1/cell body to worker2 must each be answered 4xx, and the
 #      ring size in the scrape must not move.
@@ -100,7 +105,7 @@ ref_pid=$boot_pid
 "$bin" client -addr "http://$addr" -exp "$exps" -json >"$dir/ref.json"
 stop "$ref_pid" "$dir/ref.log"
 
-echo "== cluster: coordinator + 3 workers (chaos scripts armed)"
+echo "== cluster: coordinator + worker1, the ring's only member"
 boot "$dir/coord.log" coordinator "${cfg[@]}" -addr 127.0.0.1:0 -jobs 8 \
 	-store "$dir/store" -hedge-after 2s -hedge-min 1s -hedge-max 4s \
 	-heartbeat 250ms -dead-after 3 -dispatch-backoff 100ms
@@ -108,8 +113,25 @@ coord_pid=$boot_pid
 coord_addr=$addr
 
 boot "$dir/worker1.log" worker "${cfg[@]}" -addr 127.0.0.1:0 \
-	-coordinator "http://$coord_addr" -chaos hang: -cell-timeout 5s
+	-coordinator "http://$coord_addr" -chaos hang:
 w1_pid=$boot_pid
+
+echo "== sweep through the cluster; SIGKILL worker1 while it holds a cell"
+"$bin" client -addr "http://$coord_addr" -exp "$exps" -json >"$dir/out.json" &
+client_pid=$!
+held=""
+for _ in $(seq 1 300); do
+	if grep -q "chaos cell taken" "$dir/worker1.log"; then
+		held=1
+		break
+	fi
+	sleep 0.1
+done
+if [ -z "$held" ]; then
+	echo "worker1 took no cell within 30s" >&2
+	cat "$dir/worker1.log" "$dir/coord.log" >&2
+	exit 1
+fi
 boot "$dir/worker2.log" worker "${cfg[@]}" -addr 127.0.0.1:0 \
 	-coordinator "http://$coord_addr"
 w2_pid=$boot_pid
@@ -117,11 +139,6 @@ w2_addr=$addr
 boot "$dir/worker3.log" worker "${cfg[@]}" -addr 127.0.0.1:0 \
 	-coordinator "http://$coord_addr" -chaos hang::1 -cell-timeout 5s
 w3_pid=$boot_pid
-
-echo "== sweep through the cluster; SIGKILL worker1 mid-lease"
-"$bin" client -addr "http://$coord_addr" -exp "$exps" -json >"$dir/out.json" &
-client_pid=$!
-sleep 1
 kill -KILL "$w1_pid" 2>/dev/null || true
 wait "$w1_pid" 2>/dev/null || true
 rc=0
