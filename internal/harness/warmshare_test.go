@@ -457,8 +457,15 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 			t.Fatal("second request's cells did not choose live warmup while every image slot was held")
 		}
 	}
-	if recorded, restored := warmCounts(src); recorded != 0 || restored != 0 {
-		t.Fatalf("an image was published while both recorders were held: %d recorded, %d restored", recorded, restored)
+	// No cell has settled from an image, and no group holds one.
+	published := false
+	r.mu.Lock()
+	for _, l := range r.warm.leases {
+		published = published || l.g.img != nil
+	}
+	r.mu.Unlock()
+	if recorded, restored := warmCounts(src); recorded != 0 || restored != 0 || published {
+		t.Fatalf("an image was published while both recorders were held: %d recorded, %d restored, image held %t", recorded, restored, published)
 	}
 	unblock()
 	for _, out := range append(<-first, <-secondOut...) {

@@ -20,10 +20,12 @@
 #      transport break orphans the leases it held, so orphans are certain
 #      whatever the ring's hashing:
 #        worker2  clean
-#        worker3  -chaos hang::1  first attempt of every cell hangs past the
-#                                 hedge delay — the coordinator must hedge to
-#                                 the next replica while worker3's watchdog
-#                                 and retry grind through the straggler
+#        worker3  -chaos hang::1  the first attempt it takes hangs past the
+#                                 hedge delay (failN counts the script's
+#                                 rule, and its empty match takes every
+#                                 cell) — the coordinator must hedge that
+#                                 cell to the next replica while worker3's
+#                                 watchdog abandons the straggler
 #      The client must still exit 0 and its response must be byte-identical
 #      to the reference. The /metrics scrape must show orphans, fired
 #      hedges, and remote-sourced cells, and the surviving processes must
