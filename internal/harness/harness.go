@@ -626,8 +626,8 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 			f.err = withCode(ErrTransient, o.err)
 			return
 		}
-		// The retry policy of internal/retry. A wait the context cuts short
-		// starts no attempt: its simulation would have nobody to report to.
+		// A wait the context cuts short starts no further attempt: past a
+		// view's deadline nobody waits for it, and a drain starts nothing.
 		if err := retry.Sleep(ctx, retry.Ceiling(backoff, retry.DefaultCap, attempt)); err != nil {
 			f.err = withCode(ErrCanceled,
 				fmt.Errorf("harness: cell %s: retry not started: %w", key, err))
