@@ -82,7 +82,7 @@ func servedCLI(ctx context.Context, args []string, out, errOut io.Writer, ext *m
 
 		cellTO  = fs.Duration("cell-timeout", 2*time.Minute, "per-cell watchdog (0 = off)")
 		retries = fs.Int("retries", 2, "retry a cell's transient failures up to this many times")
-		backoff = fs.Duration("retry-backoff", 100*time.Millisecond, "base backoff between cell retries")
+		backoff = fs.Duration("retry-backoff", 100*time.Millisecond, "backoff before a cell's first retry, doubled for each later one up to 10s (or to the backoff, if longer)")
 
 		maxCost   = fs.Int("max-cost", 0, "admission: concurrent fresh-simulation budget (0 = default)")
 		maxQueue  = fs.Int("max-queue", 0, "admission: queued requests before shedding (0 = default)")

@@ -44,7 +44,7 @@ func cli(ctx context.Context, args []string, out, errOut io.Writer) int {
 		storeBudgetMB = fs.Int64("store-budget-mb", 0, "checkpoint store byte budget in MiB; least-recently-used records evict beyond it (0 = unbounded)")
 		cellTO        = fs.Duration("cell-timeout", 0, "per-cell watchdog: abandon a cell producing no result within this duration (0 = off)")
 		retries       = fs.Int("retries", 0, "retry a cell's transient failures up to this many times")
-		backoff       = fs.Duration("retry-backoff", 100*time.Millisecond, "backoff before the first retry, doubled for each later one")
+		backoff       = fs.Duration("retry-backoff", 100*time.Millisecond, "backoff before the first retry, doubled for each later one up to 10s (or to the backoff, if longer)")
 
 		metricsOut     = fs.String("metrics-out", "", "write per-cell interval samples as NDJSON to this file (written atomically)")
 		metricsSamples = fs.Int("metrics-samples", 32, "interval samples per cell when -metrics-out is set")

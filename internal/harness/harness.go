@@ -145,8 +145,9 @@ func (k runKey) String() string {
 // flight is one single-flight cache entry: the first requester simulates,
 // every later requester blocks on done. Exactly one of res/err is set once
 // done is closed. obs carries the cell's recorded observability data (nil
-// when metrics are off); report its settlement record, the one the
-// settlement hook received.
+// when metrics are off); report holds its settlement record's Source,
+// WallNS and PeakRSSKB (Key and Err are filled only in the copy the
+// settlement hook receives: the cache key and err already hold them).
 type flight struct {
 	done chan struct{}
 	// ctx is the starter's context, the one that gates the flight's start.
@@ -314,10 +315,11 @@ func (r *Runner) SetCellTimeout(d time.Duration) {
 
 // SetRetries allows up to n retries of a cell whose failure is transient
 // (an error exposing `Transient() bool`). The wait before retry k is
-// retry.Ceiling(backoff, retry.DefaultCap, k): backoff doubled once per
-// earlier retry. A retry whose wait the starter's context cuts short is
-// never started; the cell fails ErrCanceled. Deterministic failures are
-// never retried.
+// backoff doubled once per earlier retry, up to 10s (retry.DefaultCap) or
+// backoff itself when that is longer. A retry whose wait the starter's
+// context cuts short is never started; the cell fails ErrCanceled, its
+// message naming the transient failure. Deterministic failures are never
+// retried.
 func (r *Runner) SetRetries(n int, backoff time.Duration) {
 	r.mu.Lock()
 	r.retries = n
@@ -336,7 +338,7 @@ func (r *Runner) SetCellHook(h func(cellKey string) error) {
 
 // CellSettlement is the record of one settled cell: the Runner's one
 // per-cell report. The settlement hook receives it, and ExportProfileJSON
-// reads it back from the cache.
+// reads its profiling fields back from the cache.
 type CellSettlement struct {
 	// Key is the cell key in runKey.String form.
 	Key string
@@ -516,11 +518,8 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	// and stacked defers would execute in the wrong (LIFO) order. Runs after
 	// the recover below finalizes f.err, before waiters wake.
 	defer func() {
-		rep := &f.report
-		rep.Key = key.String()
-		rep.WallNS = time.Since(start).Nanoseconds()
-		rep.PeakRSSKB = peakRSSKB()
-		rep.Err = f.err
+		f.report.WallNS = time.Since(start).Nanoseconds()
+		f.report.PeakRSSKB = peakRSSKB()
 		r.mu.Lock()
 		r.warmSettle(key)
 		evict := f.err != nil && (r.evictFailed || errors.Is(f.err, ErrCanceled))
@@ -530,7 +529,9 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		tel := r.cellTelemetry
 		r.mu.Unlock()
 		if tel != nil {
-			tel(*rep)
+			rep := f.report
+			rep.Key, rep.Err = key.String(), f.err
+			tel(rep)
 		}
 	}()
 	defer func() {
@@ -628,9 +629,9 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		}
 		// A wait the context cuts short starts no further attempt: past a
 		// view's deadline nobody waits for it, and a drain starts nothing.
-		if err := retry.Sleep(ctx, retry.Ceiling(backoff, retry.DefaultCap, attempt)); err != nil {
+		if err := retry.Sleep(ctx, retryWait(backoff, attempt)); err != nil {
 			f.err = withCode(ErrCanceled,
-				fmt.Errorf("harness: cell %s: retry not started: %w", key, err))
+				fmt.Errorf("harness: cell %s: retry not started: %w (after %v)", key, err, o.err))
 			return
 		}
 	}
@@ -646,6 +647,13 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	r.mu.Lock()
 	r.runs++
 	r.mu.Unlock()
+}
+
+// retryWait is the wait before transient retry attempt (1 or more): backoff
+// doubled once per earlier retry, capped at retry.DefaultCap or at backoff
+// itself when that is longer, so the first wait is always backoff.
+func retryWait(backoff time.Duration, attempt int) time.Duration {
+	return retry.Ceiling(backoff, max(backoff, retry.DefaultCap), attempt)
 }
 
 // outcome is one cell attempt's result. source is how the attempt warmed up

@@ -153,9 +153,16 @@ func TestCheckpointResumeReproducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := runObs(t, cfg, 4, cp2)
-	if cp2.StoreStats().Hits == 0 {
-		t.Fatal("resume loaded no cells; sidecars missing?")
+	second := NewRunner(cfg)
+	second.AttachCheckpoint(cp2)
+	src := countSources(second)
+	if _, err := RunExperiments(second, []Experiment{obsExperiment()}, ExecOptions{Jobs: 4}); err != nil {
+		t.Fatalf("run experiments: %v", err)
+	}
+	// A store settlement is a record that decoded, metrics included: a
+	// record that verified but failed to decode would re-simulate.
+	if src.n[SourceStore] == 0 {
+		t.Fatal("resume loaded no cells from the store")
 	}
 	secondND, err := second.ExportMetricsNDJSON()
 	if err != nil {

@@ -119,11 +119,38 @@ func TestTransientRetryStopsAtDeadline(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("cell whose retry outlived the deadline settled %v, want ErrCanceled", err)
 	}
+	// The error names the transient failure that asked for the retry, but
+	// is not itself transient: nothing should retry a canceled cell.
+	if !strings.Contains(err.Error(), "injected transient failure") || faults.IsTransient(err) {
+		t.Fatalf("canceled retry's error %q should name its transient cause without wrapping it", err)
+	}
 	// An attempt started after the deadline would reach the hook at once;
 	// give it time to.
 	time.Sleep(200 * time.Millisecond)
 	if got := ci.Attempts("omnetpp/tmcc/high"); got != 1 {
 		t.Fatalf("attempts = %d, want 1: a retry started after the deadline", got)
+	}
+}
+
+// TestTransientRetryWaits: the wait before each retry doubles from the
+// backoff up to 10s, and a backoff over 10s still waits in full.
+func TestTransientRetryWaits(t *testing.T) {
+	for _, c := range []struct {
+		backoff time.Duration
+		attempt int
+		want    time.Duration
+	}{
+		{100 * time.Millisecond, 1, 100 * time.Millisecond},
+		{100 * time.Millisecond, 2, 200 * time.Millisecond},
+		{100 * time.Millisecond, 3, 400 * time.Millisecond},
+		{100 * time.Millisecond, 20, 10 * time.Second},
+		{30 * time.Second, 1, 30 * time.Second},
+		{30 * time.Second, 2, 30 * time.Second},
+		{0, 3, 0},
+	} {
+		if got := retryWait(c.backoff, c.attempt); got != c.want {
+			t.Errorf("retryWait(%v, %d) = %v, want %v", c.backoff, c.attempt, got, c.want)
+		}
 	}
 }
 
