@@ -125,7 +125,15 @@ func TestHedgeDelayMatchesSortReference(t *testing.T) {
 			t.Fatal("hedgeDelay reordered the latency window")
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { c.hedgeDelay() }); allocs != 0 {
+	// AllocsPerRun counts every goroutine's allocations, and an earlier
+	// test's abandoned cell attempt may still be simulating in the
+	// background. An allocation of hedgeDelay's own shows in every
+	// measurement, so the least of a few is its count.
+	allocs := testing.AllocsPerRun(100, func() { c.hedgeDelay() })
+	for i := 0; i < 9 && allocs != 0; i++ {
+		allocs = min(allocs, testing.AllocsPerRun(100, func() { c.hedgeDelay() }))
+	}
+	if allocs != 0 {
 		t.Fatalf("hedgeDelay allocates %.1f times per call", allocs)
 	}
 }

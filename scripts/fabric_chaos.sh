@@ -55,10 +55,13 @@ pids=()
 trap 'for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; done' EXIT
 
 # boot LOGFILE ARGS... starts one dylect-served process, waits for its
-# address handshake, and sets boot_pid/addr.
+# address handshake, and sets boot_pid/addr. The log is created before the
+# process starts: the child opens it only once it runs, and a scan of a
+# missing file would fail the pipeline and, under set -e, the script.
 boot() {
 	local log="$1"
 	shift
+	: >>"$log"
 	"$bin" "$@" >>"$log" 2>&1 &
 	boot_pid=$!
 	pids+=("$boot_pid")
