@@ -214,8 +214,8 @@ func announce(ctx context.Context, url, worker string) error {
 
 // parseChaos compiles a -chaos script into a cell injector. Specs are
 // comma-separated kind:match[:failN]; match is a cell-key substring (empty
-// matches every cell), failN bounds how many attempts fail before the cell
-// succeeds (0 or omitted = every attempt).
+// matches every cell), failN bounds how many attempts of each matching cell
+// fail before that cell succeeds (0 or omitted = every attempt).
 func parseChaos(script string) (*faults.CellInjector, error) {
 	ci := faults.NewCellInjector()
 	for _, spec := range strings.Split(script, ",") {

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -175,11 +176,73 @@ func FuzzMemberRequest(f *testing.F) {
 	})
 }
 
+// TestWorkerRefusesUnplannedCells sends /fabric/v1/cell specs that no plan
+// of the worker's config contains: the out-of-range probes that once
+// panicked a worker or exhausted its memory, a valid CTE cache size that no
+// experiment sweeps, and a workload the simulator does not know. Each must
+// be a 400 bad_request before the runner sees it: no cell settles, so the
+// breaker the serving layer feeds from the settlement hook never moves. The
+// planned spec they were edited from is still served.
+func TestWorkerRefusesUnplannedCells(t *testing.T) {
+	cfg := microCfg()
+	hash := harness.ConfigHash(cfg)
+	r := harness.NewRunner(cfg)
+	brk := serve.NewBreaker(serve.BreakerConfig{Threshold: 1}, nil)
+	var settled, transitions atomic.Int32
+	brk.SetTransitionHook(func(class, to string) { transitions.Add(1) })
+	r.SetCellTelemetry(func(c harness.CellSettlement) {
+		settled.Add(1)
+		brk.Report(c.Key, c.Err)
+	})
+	w := NewWorker(WorkerOptions{Runner: r, ConfigHash: hash, Schema: system.SchemaVersion})
+	post := func(spec harness.CellSpec) *httptest.ResponseRecorder {
+		body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: hash, Schema: system.SchemaVersion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		w.handleCell(rec, httptest.NewRequest(http.MethodPost, CellPath, bytes.NewReader(body)))
+		return rec
+	}
+	planned := harness.CellSpec{Workload: "omnetpp", Design: "dylect", Setting: "high", HugePages: true}
+	for _, tc := range []struct {
+		name string
+		edit func(*harness.CellSpec)
+	}{
+		{"granularity-3", func(s *harness.CellSpec) { s.Granularity = 3 }},
+		{"granularity-2^40", func(s *harness.CellSpec) { s.Granularity = 1 << 40 }},
+		{"cte-cache--64", func(s *harness.CellSpec) { s.CTECacheBytes = -64 }},
+		{"cte-cache-100", func(s *harness.CellSpec) { s.CTECacheBytes = 100 }},
+		{"cte-cache-2^40", func(s *harness.CellSpec) { s.CTECacheBytes = 1 << 40 }},
+		{"group-size-2^40", func(s *harness.CellSpec) { s.GroupSize = 1 << 40 }},
+		{"cte-cache-12288", func(s *harness.CellSpec) { s.CTECacheBytes = 12288 }},
+		{"unknown-workload", func(s *harness.CellSpec) { s.Workload = "nosuch" }},
+	} {
+		spec := planned
+		tc.edit(&spec)
+		rec := post(spec)
+		var er serve.ErrorResponse
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Code != serve.CodeBadRequest {
+			t.Errorf("%s: status %d body %q, want 400 %s", tc.name, rec.Code, rec.Body, serve.CodeBadRequest)
+		}
+	}
+	if n := settled.Load(); n != 0 {
+		t.Errorf("%d refused cells settled; the runner must not see them", n)
+	}
+	if n := transitions.Load(); n != 0 {
+		t.Errorf("%d breaker transitions from refused cells", n)
+	}
+	if rec := post(planned); rec.Code != http.StatusOK {
+		t.Fatalf("planned spec: status %d body %q, want 200", rec.Code, rec.Body)
+	}
+}
+
 // FuzzCellRequest: no /fabric/v1/cell body panics the worker, every error
 // reply parses as a serve.ErrorResponse, and a 200 comes only for a body
-// pinning the worker's config hash and schema, carrying an envelope that
-// verifies under the spec's store key. The worker's runner dispatches to a
-// stub executor, so nothing simulates.
+// pinning the worker's config hash and schema, whose spec the worker admits,
+// carrying an envelope that verifies under the spec's store key. The
+// worker's runner dispatches to a stub executor, so nothing simulates; it is
+// built once, so its admissible domain is too.
 func FuzzCellRequest(f *testing.F) {
 	cfg := microCfg()
 	hash := harness.ConfigHash(cfg)
@@ -192,15 +255,14 @@ func FuzzCellRequest(f *testing.F) {
 	f.Add(req(microSpec(), hash, "other"))
 	f.Add(req(harness.CellSpec{Workload: "omnetpp", Design: "warp", Setting: "high"}, hash, system.SchemaVersion))
 	f.Add(req(harness.CellSpec{Design: "tmcc", Setting: "high"}, hash, system.SchemaVersion))
-	f.Add(req(harness.CellSpec{Workload: "omnetpp", Design: "dylect", Setting: "low", Ranks: -1, Granularity: 3}, hash, system.SchemaVersion))
+	f.Add(req(harness.CellSpec{Workload: "omnetpp", Design: "dylect", Setting: "low", Granularity: 3}, hash, system.SchemaVersion))
 	f.Add([]byte(`{"spec":{"workload":"x<>& ","design":"nocomp","setting":"none"},"configHash":"` + hash + `","schema":"` + system.SchemaVersion + `"}`))
 	f.Add([]byte(`{"spec":7}`))
 	f.Add([]byte(``))
-	stub := func(context.Context, harness.CellSpec) ([]byte, error) { return []byte(`{"result":{}}`), nil }
+	r := harness.NewRunner(cfg)
+	r.SetRemoteExecutor(func(context.Context, harness.CellSpec) ([]byte, error) { return []byte(`{"result":{}}`), nil })
+	w := NewWorker(WorkerOptions{Runner: r, ConfigHash: hash, Schema: system.SchemaVersion})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		r := harness.NewRunner(cfg)
-		r.SetRemoteExecutor(stub)
-		w := NewWorker(WorkerOptions{Runner: r, ConfigHash: hash, Schema: system.SchemaVersion})
 		rec := httptest.NewRecorder()
 		w.handleCell(rec, httptest.NewRequest(http.MethodPost, CellPath, bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
@@ -216,6 +278,9 @@ func FuzzCellRequest(f *testing.F) {
 		}
 		if cr.ConfigHash != hash || cr.Schema != system.SchemaVersion {
 			t.Fatalf("200 for a body pinning config %q schema %q", cr.ConfigHash, cr.Schema)
+		}
+		if !r.Admits(cr.Spec) {
+			t.Fatalf("200 for a spec the worker does not admit: %+v", cr.Spec)
 		}
 		key, err := harness.PayloadKey(hash, cr.Spec)
 		if err != nil {

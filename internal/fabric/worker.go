@@ -15,10 +15,11 @@ import (
 )
 
 // Wire protocol. A worker is a normal dylect-served process with one extra
-// endpoint: POST /fabric/v1/cell executes a single cell through the normal
-// runner path (pool semaphore, watchdog, retries, checkpoint, breaker
-// observers) and returns it wrapped in the cellstore envelope, so the
-// coordinator can verify schema, key, and checksum before trusting a byte.
+// endpoint: POST /fabric/v1/cell executes a single planned cell (one that
+// harness.Runner.Admits) through the normal runner path (pool semaphore,
+// watchdog, retries, checkpoint, breaker observers) and returns it wrapped
+// in the cellstore envelope, so the coordinator can verify schema, key, and
+// checksum before trusting a byte.
 // POST /fabric/v1/verify makes the worker re-read (and, if damaged,
 // quarantine) its durable copy of a cell the coordinator could not verify.
 
@@ -122,6 +123,13 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 	key, err := harness.PayloadKey(w.opts.ConfigHash, cr.Spec)
 	if err != nil {
 		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, err.Error(), 0)
+		return
+	}
+	// A cell no plan of this config contains is refused before the runner
+	// sees it: it would simulate, and stay memoized, for no coordinator.
+	if !w.opts.Runner.Admits(cr.Spec) {
+		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest,
+			fmt.Sprintf("cell %q is in no plan of this worker's config", cr.Spec.CellKey()), 0)
 		return
 	}
 

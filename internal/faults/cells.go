@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 )
 
@@ -75,11 +76,11 @@ func (k CellFaultKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// CellSpec scripts the failures injected into one matching cell.
+// CellSpec scripts the failures injected into each matching cell.
 type CellSpec struct {
 	Kind CellFaultKind
-	// Fail bounds how many attempts fail before the cell succeeds;
-	// 0 means every attempt fails.
+	// Fail bounds how many attempts of each matching cell fail before that
+	// cell succeeds; 0 means every attempt fails.
 	Fail int
 	// Release unblocks an injected hang when closed; nil hangs forever
 	// (until the watchdog abandons the cell).
@@ -89,7 +90,8 @@ type CellSpec struct {
 type cellRule struct {
 	match string
 	spec  CellSpec
-	hits  int
+	hits  int            // attempts over every matching cell
+	cells map[string]int // attempts per cell key, which Fail bounds
 }
 
 // CellInjector scripts per-cell faults for the harness pool. Rules match on
@@ -107,10 +109,11 @@ func NewCellInjector() *CellInjector { return &CellInjector{} }
 func (ci *CellInjector) Script(match string, spec CellSpec) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	ci.rules = append(ci.rules, &cellRule{match: match, spec: spec})
+	ci.rules = append(ci.rules, &cellRule{match: match, spec: spec, cells: map[string]int{}})
 }
 
-// Attempts reports how many attempts have hit the rule for match.
+// Attempts reports how many attempts, over every matching cell, have hit
+// the rule for match.
 func (ci *CellInjector) Attempts(match string) int {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
@@ -128,7 +131,7 @@ func (ci *CellInjector) Hook(cellKey string) error {
 	ci.mu.Lock()
 	var rule *cellRule
 	for _, r := range ci.rules {
-		if contains(cellKey, r.match) {
+		if strings.Contains(cellKey, r.match) {
 			rule = r
 			break
 		}
@@ -138,15 +141,16 @@ func (ci *CellInjector) Hook(cellKey string) error {
 		return nil
 	}
 	rule.hits++
-	spec, hits := rule.spec, rule.hits
+	rule.cells[cellKey]++
+	spec, attempt := rule.spec, rule.cells[cellKey]
 	ci.mu.Unlock()
 
-	if spec.Fail > 0 && hits > spec.Fail {
-		return nil // scripted failures exhausted; the cell now succeeds
+	if spec.Fail > 0 && attempt > spec.Fail {
+		return nil // the cell's scripted failures are exhausted; it succeeds
 	}
 	switch spec.Kind {
 	case CellPanic:
-		panic(fmt.Sprintf("faults: injected panic in cell %s (attempt %d)", cellKey, hits))
+		panic(fmt.Sprintf("faults: injected panic in cell %s (attempt %d)", cellKey, attempt))
 	case CellHang:
 		if spec.Release == nil {
 			select {} // hang forever; only the watchdog can abandon us
@@ -154,21 +158,7 @@ func (ci *CellInjector) Hook(cellKey string) error {
 		<-spec.Release
 		return nil
 	case CellTransient:
-		return Transient{Msg: fmt.Sprintf("faults: injected transient failure (attempt %d)", hits)}
+		return Transient{Msg: fmt.Sprintf("faults: injected transient failure (attempt %d)", attempt)}
 	}
 	return nil
-}
-
-// contains reports whether s contains substr (strings.Contains without the
-// import noise for such a tiny package... kept explicit for clarity).
-func contains(s, substr string) bool {
-	if len(substr) == 0 {
-		return true
-	}
-	for i := 0; i+len(substr) <= len(s); i++ {
-		if s[i:i+len(substr)] == substr {
-			return true
-		}
-	}
-	return false
 }

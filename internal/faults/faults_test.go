@@ -102,6 +102,25 @@ func TestTransientDetection(t *testing.T) {
 	}
 }
 
+// TestCellInjectorFailBudgetIsPerCell: a rule's Fail bounds each matching
+// cell's failed attempts, so a broad match fails the first attempt of every
+// cell it takes, not only the first attempt among them all.
+func TestCellInjectorFailBudgetIsPerCell(t *testing.T) {
+	ci := NewCellInjector()
+	ci.Script("omnetpp/", CellSpec{Kind: CellTransient, Fail: 1})
+	for _, cell := range []string{"omnetpp/tmcc/high", "omnetpp/dylect/high"} {
+		if err := ci.Hook(cell); !IsTransient(err) {
+			t.Errorf("%s: first attempt returned %v, want the scripted transient failure", cell, err)
+		}
+		if err := ci.Hook(cell); err != nil {
+			t.Errorf("%s: second attempt failed past the cell's budget: %v", cell, err)
+		}
+	}
+	if got := ci.Attempts("omnetpp/"); got != 4 {
+		t.Errorf("Attempts = %d, want 4 over both cells", got)
+	}
+}
+
 // TestCellInjectorPool proves the injector covers every harness failure
 // class: panic, hang, and transient error, with bounded Fail counts.
 func TestCellInjectorPool(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // DESIGN.md calls out: the gradual ML2→ML1→ML0 promotion policy versus
 // direct-to-ML0 (the double-movement alternative of Section IV-A1), and the
 // 5% counter sampling rate. The policy knobs are part of the cell key
-// (variant.directToML0 / variant.samplePeriod), so ablation runs are
+// (CellSpec.DirectToML0 / CellSpec.SamplePeriod), so ablation runs are
 // memoized and scheduled by the worker pool like every other cell.
 
 // AblationGradual compares DyLeCT's gradual promotion against direct
@@ -22,9 +22,9 @@ func AblationGradual(r *Runner) []string {
 	var ratios []float64
 	for _, wl := range r.sweepWorkloads() {
 		grad := r.Design(wl, system.DesignDyLeCT, system.SettingHigh)
-		v := defaultVariant()
-		v.directToML0 = true
-		direct := r.get(wl, system.DesignDyLeCT, system.SettingHigh, v)
+		c := cell(wl, system.DesignDyLeCT, system.SettingHigh)
+		c.DirectToML0 = true
+		direct := r.get(c)
 		ratio := 0.0
 		if grad.IPC > 0 {
 			ratio = direct.IPC / grad.IPC
@@ -47,9 +47,9 @@ func AblationSampling(r *Runner) []string {
 	for _, wl := range r.sweepWorkloads() {
 		row := []interface{}{wl}
 		for _, p := range periods {
-			v := defaultVariant()
-			v.samplePeriod = p
-			res := r.get(wl, system.DesignDyLeCT, system.SettingHigh, v)
+			c := cell(wl, system.DesignDyLeCT, system.SettingHigh)
+			c.SamplePeriod = p
+			res := r.get(c)
 			row = append(row, fmt.Sprintf("%.1f%%/%.4f", res.CTEHitRate*100, res.IPC))
 		}
 		t.AddRow(row...)

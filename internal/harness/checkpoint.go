@@ -144,13 +144,15 @@ func (c *Checkpoint) QuarantineLogPath() string { return c.store.QuarantineLogPa
 func (c *Checkpoint) Close() error { return c.store.Close() }
 
 // fileKey flattens the full normalized cell key into a stable name. Every
-// key field participates (unlike runKey.String, which elides defaults), so
-// two distinct cells can never share a store record.
-func (k runKey) fileKey() string {
-	name := fmt.Sprintf("%s_%s_%s_hp%t_cte%d_gran%d_grp%d_pcte%t_ptb%t_dml0%t_sp%d_r%d",
-		k.workload, k.design, k.setting, k.hugePages, k.cteCacheBytes,
-		k.granularity, k.groupSize, k.perfectCTE, k.embedPTB,
-		k.directToML0, k.samplePeriod, k.ranks)
+// key field participates (unlike CellKey, which elides defaults), so two
+// distinct cells can never share a store record. The literal _r0 is the
+// rank count, a key field in earlier builds that no cell ever set; it
+// stays so their records keep their addresses.
+func (k CellSpec) fileKey() string {
+	name := fmt.Sprintf("%s_%s_%s_hp%t_cte%d_gran%d_grp%d_pcte%t_ptb%t_dml0%t_sp%d_r0",
+		k.Workload, k.Design, k.Setting, k.HugePages, k.CTECacheBytes,
+		k.Granularity, k.GroupSize, k.PerfectCTE, k.EmbedPTB,
+		k.DirectToML0, k.SamplePeriod)
 	return strings.ReplaceAll(name, string(os.PathSeparator), "-") + ".json"
 }
 
@@ -158,7 +160,7 @@ func (k runKey) fileKey() string {
 // content-derived from (config hash, cell key), and the schema version rides
 // in the record envelope. A Checkpoint files records under it, and
 // PayloadKey hands it to the fabric.
-func (k runKey) storeKey(cfgHash string) string {
+func (k CellSpec) storeKey(cfgHash string) string {
 	return cfgHash + "/" + k.fileKey()
 }
 
@@ -173,14 +175,14 @@ type cellRecord struct {
 // Has reports whether a verified record for the cell existed at open (or
 // was stored since) without reading it. FreshCost uses it to price warm
 // cells as free; Load remains the only trusted read.
-func (c *Checkpoint) Has(key runKey) bool { return c.store.Has(key.storeKey(c.cfgHash)) }
+func (c *Checkpoint) Has(key CellSpec) bool { return c.store.Has(key.storeKey(c.cfgHash)) }
 
 // Load restores a cell's persisted Result (and its observability sidecar,
 // when one was recorded), reporting whether the Result exists. Every load
 // re-verifies the record's checksum, schema, and key; a record failing any
 // check is quarantined by the store and treated as missing — the cell is
 // re-simulated with a warning, never a fatal error.
-func (c *Checkpoint) Load(key runKey) (*system.Result, *metrics.Data, bool) {
+func (c *Checkpoint) Load(key CellSpec) (*system.Result, *metrics.Data, bool) {
 	payload, ok := c.store.Get(key.storeKey(c.cfgHash))
 	if !ok {
 		return nil, nil, false
@@ -189,7 +191,7 @@ func (c *Checkpoint) Load(key runKey) (*system.Result, *metrics.Data, bool) {
 	if err != nil {
 		// The checksum verified, so this is a schema drift the version pin
 		// failed to catch, not corruption. Re-simulate; say why.
-		fmt.Fprintf(c.log, "checkpoint: cell %s: verified record does not decode (%v); re-simulating\n", key, err)
+		fmt.Fprintf(c.log, "checkpoint: cell %s: verified record does not decode (%v); re-simulating\n", key.CellKey(), err)
 		return nil, nil, false
 	}
 	return res, obs, true
@@ -200,10 +202,10 @@ func (c *Checkpoint) Load(key runKey) (*system.Result, *metrics.Data, bool) {
 // carries only measurement fields: Opts is zeroed because it embeds
 // workload generator internals that do not round-trip (and nothing
 // downstream of the runner reads it).
-func (c *Checkpoint) Store(key runKey, res *system.Result, obs *metrics.Data) error {
+func (c *Checkpoint) Store(key CellSpec, res *system.Result, obs *metrics.Data) error {
 	payload, err := encodeCellPayload(res, obs)
 	if err != nil {
-		return fmt.Errorf("checkpoint: cell %s: %w", key, err)
+		return fmt.Errorf("checkpoint: cell %s: %w", key.CellKey(), err)
 	}
 	return c.AdoptPayload(key, payload)
 }
@@ -213,9 +215,9 @@ func (c *Checkpoint) Store(key runKey, res *system.Result, obs *metrics.Data) er
 // instead of re-encoding keeps the store record byte-for-byte what a local
 // run would have written, which is what makes remote re-dispatch idempotent
 // and warm restarts byte-identical.
-func (c *Checkpoint) AdoptPayload(key runKey, payload []byte) error {
+func (c *Checkpoint) AdoptPayload(key CellSpec, payload []byte) error {
 	if err := c.store.Put(key.storeKey(c.cfgHash), payload); err != nil {
-		return fmt.Errorf("checkpoint: cell %s: %w", key, err)
+		return fmt.Errorf("checkpoint: cell %s: %w", key.CellKey(), err)
 	}
 	return nil
 }
@@ -227,10 +229,9 @@ func (c *Checkpoint) AdoptPayload(key runKey, payload []byte) error {
 // worker's durable copy is the corrupt one, it must not survive to poison
 // the next dispatch.
 func (c *Checkpoint) ReverifyCell(spec CellSpec) bool {
-	k, err := spec.runKey()
-	if err != nil {
+	if spec.check() != nil {
 		return false
 	}
-	_, ok := c.store.Get(k.storeKey(c.cfgHash))
+	_, ok := c.store.Get(spec.storeKey(c.cfgHash))
 	return ok
 }

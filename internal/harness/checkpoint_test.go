@@ -120,7 +120,7 @@ func TestCheckpointAllowsWorkloadSubsetResume(t *testing.T) {
 // exemption list here) before the build goes green.
 func TestConfigHashCoversEveryConfigField(t *testing.T) {
 	exempt := map[string]string{
-		"Workloads": "cell identity carries its workload in the runKey; the list only selects cells",
+		"Workloads": "cell identity carries its workload in the CellSpec; the list only selects cells",
 	}
 	hashed := map[string]bool{}
 	ct := reflect.TypeOf(canonicalConfig{})

@@ -84,9 +84,9 @@ func Table3(*Runner) []string {
 // pages remove. (The paper's 1.75x also folds in faster allocation over
 // whole-program runs; a steady-state window captures the translation half.)
 func (r *Runner) pageSize4K(wl string) *system.Result {
-	v := defaultVariant()
-	v.hugePages = false
-	return r.get(wl, system.DesignNoComp, system.SettingNone, v)
+	c := cell(wl, system.DesignNoComp, system.SettingNone)
+	c.HugePages = false
+	return r.get(c)
 }
 
 // Fig3 regenerates the huge-page speedup study on the (simulated) system
@@ -142,9 +142,9 @@ func Fig5(r *Runner) []string {
 	for _, wl := range r.sweepWorkloads() {
 		row := []interface{}{wl}
 		for i, sz := range sizes {
-			v := defaultVariant()
-			v.cteCacheBytes = r.ScaledCTECache(sz)
-			res := r.get(wl, system.DesignTMCC, system.SettingHigh, v)
+			c := cell(wl, system.DesignTMCC, system.SettingHigh)
+			c.CTECacheBytes = r.ScaledCTECache(sz)
+			res := r.get(c)
 			miss := (1 - res.CTEHitRate) * 100
 			avg[i] += miss
 			row = append(row, miss)
@@ -168,9 +168,9 @@ func Fig6(r *Runner) []string {
 			var vals []float64
 			for _, wl := range r.sweepWorkloads() {
 				base := r.Baseline(wl)
-				v := defaultVariant()
-				v.granularity = g
-				res := r.get(wl, system.DesignTMCC, s, v)
+				c := cell(wl, system.DesignTMCC, s)
+				c.Granularity = g
+				res := r.get(c)
 				if base.IPC > 0 {
 					vals = append(vals, res.IPC/base.IPC)
 				}
@@ -244,9 +244,9 @@ func Fig18(r *Runner) []string {
 		for _, wl := range r.workloads() {
 			tm := r.Design(wl, system.DesignTMCC, s)
 			dy := r.Design(wl, system.DesignDyLeCT, s)
-			v := defaultVariant()
-			v.perfectCTE = true
-			ub := r.get(wl, system.DesignDyLeCT, s, v)
+			c := cell(wl, system.DesignDyLeCT, s)
+			c.PerfectCTE = true
+			ub := r.get(c)
 			nd, nu := 0.0, 0.0
 			if tm.IPC > 0 {
 				nd, nu = dy.IPC/tm.IPC, ub.IPC/tm.IPC
@@ -415,9 +415,9 @@ func Fig25(r *Runner) []string {
 	for _, wl := range r.sweepWorkloads() {
 		row := []interface{}{wl}
 		for i, g := range groups {
-			v := defaultVariant()
-			v.groupSize = g
-			res := r.get(wl, system.DesignDyLeCT, system.SettingHigh, v)
+			c := cell(wl, system.DesignDyLeCT, system.SettingHigh)
+			c.GroupSize = g
+			res := r.get(c)
 			f := 0.0
 			if res.ML0+res.ML1 > 0 {
 				f = float64(res.ML0) / float64(res.ML0+res.ML1)

@@ -8,21 +8,10 @@ import (
 )
 
 // RawResult is the JSON-exportable record of one memoized simulation, for
-// downstream plotting.
+// downstream plotting. Its key columns are the cell's spec, whose fields the
+// JSON encoding inlines.
 type RawResult struct {
-	Workload string `json:"workload"`
-	Design   string `json:"design"`
-	Setting  string `json:"setting"`
-
-	HugePages     bool   `json:"hugePages"`
-	CTECacheBytes int    `json:"cteCacheBytes"`
-	Granularity   uint64 `json:"granularity"`
-	GroupSize     uint64 `json:"groupSize"`
-	PerfectCTE    bool   `json:"perfectCTE,omitempty"`
-	EmbedPTB      bool   `json:"embedPTB,omitempty"`
-	DirectToML0   bool   `json:"directToML0,omitempty"`
-	SamplePeriod  uint64 `json:"samplePeriod,omitempty"`
-	Ranks         int    `json:"ranks,omitempty"`
+	CellSpec
 
 	IPC             float64 `json:"ipc"`
 	Insts           uint64  `json:"instructions"`
@@ -78,20 +67,9 @@ func settled(f *flight) bool {
 func settledOK(f *flight) bool { return settled(f) && f.err == nil && f.res != nil }
 
 // rawOf flattens one completed cell into its exportable record.
-func rawOf(k runKey, res *system.Result) RawResult {
+func rawOf(k CellSpec, res *system.Result) RawResult {
 	return RawResult{
-		Workload:      k.workload,
-		Design:        k.design.String(),
-		Setting:       k.setting.String(),
-		HugePages:     k.hugePages,
-		CTECacheBytes: k.cteCacheBytes,
-		Granularity:   k.granularity,
-		GroupSize:     k.groupSize,
-		PerfectCTE:    k.perfectCTE,
-		EmbedPTB:      k.embedPTB,
-		DirectToML0:   k.directToML0,
-		SamplePeriod:  k.samplePeriod,
-		Ranks:         k.ranks,
+		CellSpec: k,
 
 		IPC:             res.IPC,
 		Insts:           res.Insts,
@@ -126,10 +104,10 @@ func rawOf(k runKey, res *system.Result) RawResult {
 	}
 }
 
-// lessRaw is the total order over every key field used by both exporters:
+// lessSpec is the total order over every key field used by both exporters:
 // two records can only compare equal if their cells are identical, so the
 // sort (and the bytes) cannot depend on map iteration or completion order.
-func lessRaw(a, b RawResult) bool {
+func lessSpec(a, b CellSpec) bool {
 	switch {
 	case a.Workload != b.Workload:
 		return a.Workload < b.Workload
@@ -151,10 +129,8 @@ func lessRaw(a, b RawResult) bool {
 		return !a.EmbedPTB
 	case a.DirectToML0 != b.DirectToML0:
 		return !a.DirectToML0
-	case a.SamplePeriod != b.SamplePeriod:
-		return a.SamplePeriod < b.SamplePeriod
 	default:
-		return a.Ranks < b.Ranks
+		return a.SamplePeriod < b.SamplePeriod
 	}
 }
 
@@ -171,7 +147,7 @@ func (r *Runner) ExportJSON() ([]byte, error) {
 		out = append(out, rawOf(k, f.res))
 	}
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return lessRaw(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return lessSpec(out[i].CellSpec, out[j].CellSpec) })
 	return json.MarshalIndent(out, "", "  ")
 }
 
@@ -192,6 +168,6 @@ func (r *Runner) ExportJSONFor(exps []Experiment) ([]byte, error) {
 		}
 	}
 	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return lessRaw(out[i], out[j]) })
+	sort.Slice(out, func(i, j int) bool { return lessSpec(out[i].CellSpec, out[j].CellSpec) })
 	return json.MarshalIndent(out, "", "  ")
 }

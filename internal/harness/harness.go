@@ -96,50 +96,88 @@ func (r *Runner) sweepWorkloads() []string {
 	return []string{"bfs", "sssp", "mcf", "canneal"}
 }
 
-// variant captures the per-run knobs beyond workload/design/setting. Every
-// field participates in the cache key, the JSON export, and the export sort,
-// so two cells that differ in any knob are distinct and deterministically
-// ordered.
-type variant struct {
-	hugePages     bool
-	cteCacheBytes int
-	granularity   uint64
-	groupSize     uint64
-	perfectCTE    bool
-	ranks         int
-	// embedPTB enables TMCC's PTB-embedded CTE forwarding (Section III-A).
-	embedPTB bool
-	// directToML0 and samplePeriod override DyLeCT's promotion policy for
-	// the ablation studies; samplePeriod 0 normalizes to the paper default.
-	directToML0  bool
-	samplePeriod uint64
+// CellSpec is the identity of one cell: the Runner's cache key, the fabric's
+// wire form, the source of its store address (fileKey) and, embedded, the
+// key columns of RawResult and PlannedCell. Every field participates, so two
+// cells that differ in any knob are distinct and deterministically ordered
+// (lessSpec); the field order and JSON tags are the export's. Specs the
+// harness builds are normalized; one from outside the harness is checked
+// and normalized before it names a cell (ExecuteCell).
+type CellSpec struct {
+	Workload      string `json:"workload"`
+	Design        string `json:"design"`
+	Setting       string `json:"setting"`
+	HugePages     bool   `json:"hugePages"`
+	CTECacheBytes int    `json:"cteCacheBytes"`
+	Granularity   uint64 `json:"granularity"`
+	GroupSize     uint64 `json:"groupSize"`
+	PerfectCTE    bool   `json:"perfectCTE,omitempty"`
+	// EmbedPTB enables TMCC's PTB-embedded CTE forwarding (Section III-A).
+	EmbedPTB bool `json:"embedPTB,omitempty"`
+	// DirectToML0 and SamplePeriod override DyLeCT's promotion policy for
+	// the ablation studies; SamplePeriod 0 normalizes to the paper default.
+	DirectToML0  bool   `json:"directToML0,omitempty"`
+	SamplePeriod uint64 `json:"samplePeriod,omitempty"`
 }
 
-func defaultVariant() variant { return variant{hugePages: true} }
-
-type runKey struct {
-	workload string
-	design   system.Design
-	setting  system.Setting
-	variant
+// cell is the default-variant spec of one workload × design × setting.
+func cell(wl string, d system.Design, s system.Setting) CellSpec {
+	return CellSpec{Workload: wl, Design: d.String(), Setting: s.String(), HugePages: true}
 }
 
-// String renders a cell key compactly for error messages and progress.
-func (k runKey) String() string {
-	s := fmt.Sprintf("%s/%s/%s", k.workload, k.design, k.setting)
-	if !k.hugePages {
-		s += "/4K"
+// CellKey renders the spec compactly for error messages and progress: the
+// key the breaker, telemetry, and fault-injection hooks all speak. Beyond
+// workload, design and setting it names only the 4K, perfect-CTE,
+// PTB-embedding and direct-to-ML0 variants; fileKey names every field.
+func (s CellSpec) CellKey() string {
+	k := s.Workload + "/" + s.Design + "/" + s.Setting
+	if !s.HugePages {
+		k += "/4K"
 	}
-	if k.perfectCTE {
-		s += "/perfectCTE"
+	if s.PerfectCTE {
+		k += "/perfectCTE"
 	}
-	if k.embedPTB {
-		s += "/embedPTB"
+	if s.EmbedPTB {
+		k += "/embedPTB"
 	}
-	if k.directToML0 {
-		s += "/directToML0"
+	if s.DirectToML0 {
+		k += "/directToML0"
 	}
-	return s
+	return k
+}
+
+// check rejects a spec from outside the harness that cannot name a cell: it
+// must name a workload and a known design and setting. system.Build
+// range-checks the knobs.
+func (s CellSpec) check() error {
+	if _, err := parseDesign(s.Design); err != nil {
+		return err
+	}
+	if _, err := parseSetting(s.Setting); err != nil {
+		return err
+	}
+	if s.Workload == "" {
+		return fmt.Errorf("harness: cell spec has no workload")
+	}
+	return nil
+}
+
+func parseDesign(s string) (system.Design, error) {
+	for _, d := range []system.Design{system.DesignNoComp, system.DesignTMCC, system.DesignDyLeCT, system.DesignNaive} {
+		if d.String() == s {
+			return d, nil
+		}
+	}
+	return 0, fmt.Errorf("harness: unknown design %q", s)
+}
+
+func parseSetting(s string) (system.Setting, error) {
+	for _, st := range []system.Setting{system.SettingLow, system.SettingHigh, system.SettingNone} {
+		if st.String() == s {
+			return st, nil
+		}
+	}
+	return 0, fmt.Errorf("harness: unknown setting %q", s)
 }
 
 // flight is one single-flight cache entry: the first requester simulates,
@@ -183,7 +221,7 @@ type Runner struct {
 // cache, the worker pool, and every knob that must be common to all views.
 type runnerState struct {
 	mu    sync.Mutex
-	cache map[runKey]*flight
+	cache map[CellSpec]*flight
 	// sem bounds the number of simulations executing at once (SetJobs).
 	sem chan struct{}
 	// runs counts completed simulations.
@@ -192,7 +230,7 @@ type runnerState struct {
 	// planning short-circuits get: record the key, return a zero Result.
 	// Used by planCells to enumerate an experiment list's cell set.
 	planning  bool
-	planOrder []runKey
+	planOrder []CellSpec
 
 	// Resilience knobs (SetContext, SetCellTimeout, SetRetries,
 	// SetCellHook, AttachCheckpoint). ctx gates *starting* cells — a
@@ -230,6 +268,12 @@ type runnerState struct {
 	// warm shares each planned warm key's functional warmup across its
 	// cells (warmshare.go).
 	warm warmShare
+
+	// domain is the admissible cell set (Admits), built on first use.
+	domain struct {
+		once  sync.Once
+		cells map[CellSpec]bool
+	}
 }
 
 // NewRunner builds a Runner over a configuration. The worker pool defaults
@@ -248,8 +292,8 @@ func NewRunner(cfg Config) *Runner {
 		cfg.Window = 150 * engine.Microsecond
 	}
 	r := &Runner{Cfg: cfg, runnerState: &runnerState{
-		cache: make(map[runKey]*flight),
-		warm:  warmShare{leases: make(map[runKey]*warmLease)},
+		cache: make(map[CellSpec]*flight),
+		warm:  warmShare{leases: make(map[CellSpec]*warmLease)},
 	}}
 	r.SetJobs(1)
 	return r
@@ -340,7 +384,7 @@ func (r *Runner) SetCellHook(h func(cellKey string) error) {
 // per-cell report. The settlement hook receives it, and ExportProfileJSON
 // reads its profiling fields back from the cache.
 type CellSettlement struct {
-	// Key is the cell key in runKey.String form.
+	// Key is the cell key in CellSpec.CellKey form.
 	Key string
 	// Source says where the result came from: SourceStore, SourceRemote,
 	// or a local simulation whose warmup was SourceRecord, SourceRestore or
@@ -396,22 +440,22 @@ func (r *Runner) AttachCheckpoint(cp *Checkpoint) {
 	r.mu.Unlock()
 }
 
-// normalize fills variant defaults so equivalent configurations share one
-// cache key (and therefore one simulation).
-func (r *Runner) normalize(v variant) variant {
-	if v.cteCacheBytes == 0 {
-		v.cteCacheBytes = r.ScaledCTECache(128 << 10)
+// normalize fills a spec's default knobs so equivalent configurations share
+// one cache key (and therefore one simulation).
+func (r *Runner) normalize(c CellSpec) CellSpec {
+	if c.CTECacheBytes == 0 {
+		c.CTECacheBytes = r.ScaledCTECache(128 << 10)
 	}
-	if v.granularity == 0 {
-		v.granularity = 4 << 10
+	if c.Granularity == 0 {
+		c.Granularity = 4 << 10
 	}
-	if v.groupSize == 0 {
-		v.groupSize = 3
+	if c.GroupSize == 0 {
+		c.GroupSize = 3
 	}
-	if v.samplePeriod == 0 {
-		v.samplePeriod = core.DefaultConfig().SamplePeriod
+	if c.SamplePeriod == 0 {
+		c.SamplePeriod = core.DefaultConfig().SamplePeriod
 	}
-	return v
+	return c
 }
 
 // cellError wraps a cell failure for transport through experiment code that
@@ -425,8 +469,8 @@ func (c cellError) Unwrap() error { return c.err }
 // failure — unknown workload or a simulator panic — it panics with a
 // cellError carrying the offending cell's key; RunExperiments converts that
 // into the experiment's error. Use Result for a plain error return.
-func (r *Runner) get(wl string, d system.Design, s system.Setting, v variant) *system.Result {
-	res, err := r.result(runKey{workload: wl, design: d, setting: s, variant: r.normalize(v)})
+func (r *Runner) get(c CellSpec) *system.Result {
+	res, err := r.result(r.normalize(c))
 	if err != nil {
 		panic(cellError{err})
 	}
@@ -436,7 +480,7 @@ func (r *Runner) get(wl string, d system.Design, s system.Setting, v variant) *s
 // Result is the error-returning cell accessor: it runs (or waits for, or
 // returns the memoized result of) one workload × design × setting cell.
 func (r *Runner) Result(wl string, d system.Design, s system.Setting) (*system.Result, error) {
-	return r.result(runKey{workload: wl, design: d, setting: s, variant: r.normalize(defaultVariant())})
+	return r.result(r.normalize(cell(wl, d, s)))
 }
 
 // result is the single-flight core: the first requester of a key simulates
@@ -449,14 +493,14 @@ func (r *Runner) Result(wl string, d system.Design, s system.Setting) (*system.R
 // ran is evicted from the cache (runCell), so a waiter whose own context is
 // still live retries with a fresh flight instead of inheriting a failure it
 // did not cause.
-func (r *Runner) result(key runKey) (*system.Result, error) {
+func (r *Runner) result(key CellSpec) (*system.Result, error) {
 	res, _, err := r.resultObs(key)
 	return res, err
 }
 
 // resultObs is result plus the cell's observability sidecar; the worker side
 // of the fabric needs both to rebuild the canonical persisted payload.
-func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
+func (r *Runner) resultObs(key CellSpec) (*system.Result, *metrics.Data, error) {
 	ctx := r.callCtx()
 	for {
 		r.mu.Lock()
@@ -483,7 +527,7 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 			}
 			if err := waitSettled(waitCtx, f.done); err != nil {
 				return nil, nil, withCode(ErrCanceled,
-					fmt.Errorf("harness: cell %s: abandoned wait: %w", key, err))
+					fmt.Errorf("harness: cell %s: abandoned wait: %w", key.CellKey(), err))
 			}
 			if errors.Is(f.err, ErrCanceled) && ctx.Err() == nil {
 				continue // the starter gave up, we have not: retry fresh
@@ -505,7 +549,7 @@ func (r *Runner) resultObs(key runKey) (*system.Result, *metrics.Data, error) {
 // the retry backoff, and (with the watchdog) attempt abandonment.
 //
 //dylect:nondet-ok the watchdog goroutine, the retry backoff and the wall-clock settlement record are scheduling, not simulation; the cell itself is reached from system.RunE and the warmup roots
-func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
+func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight) {
 	defer close(f.done)
 	// Wall time and peak RSS are profiling data, kept strictly outside the
 	// deterministic exports (ExportJSON never reads them).
@@ -530,14 +574,14 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		r.mu.Unlock()
 		if tel != nil {
 			rep := f.report
-			rep.Key, rep.Err = key.String(), f.err
+			rep.Key, rep.Err = key.CellKey(), f.err
 			tel(rep)
 		}
 	}()
 	defer func() {
 		if p := recover(); p != nil {
 			f.err = withCode(ErrCellPanic,
-				fmt.Errorf("harness: cell %s: panic: %v\n%s", key, p, debug.Stack()))
+				fmt.Errorf("harness: cell %s: panic: %v\n%s", key.CellKey(), p, debug.Stack()))
 			f.res = nil
 		}
 	}()
@@ -566,7 +610,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		select {
 		case <-ctx.Done():
 			f.err = withCode(ErrCanceled,
-				fmt.Errorf("harness: cell %s: not started: %w", key, ctx.Err()))
+				fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), ctx.Err()))
 			return true
 		default:
 			return false
@@ -587,7 +631,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 	case sem <- struct{}{}:
 	case <-ctx.Done():
 		f.err = withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: not started: %w", key, ctx.Err()))
+			fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), ctx.Err()))
 		return
 	}
 	// Released when runCell returns — including when the watchdog abandons
@@ -631,7 +675,7 @@ func (r *Runner) runCell(ctx context.Context, key runKey, f *flight) {
 		// view's deadline nobody waits for it, and a drain starts nothing.
 		if err := retry.Sleep(ctx, retryWait(backoff, attempt)); err != nil {
 			f.err = withCode(ErrCanceled,
-				fmt.Errorf("harness: cell %s: retry not started: %w (after %v)", key, err, o.err))
+				fmt.Errorf("harness: cell %s: retry not started: %w (after %v)", key.CellKey(), err, o.err))
 			return
 		}
 	}
@@ -672,7 +716,7 @@ type outcome struct {
 // buffered channel and is discarded. The starter's context composes with
 // the watchdog: whichever fires first abandons the attempt, so a request
 // deadline bounds cell execution even without -cell-timeout.
-func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Duration, lease *warmLease) outcome {
+func (r *Runner) attemptCell(ctx context.Context, key CellSpec, timeout time.Duration, lease *warmLease) outcome {
 	r.mu.Lock()
 	hook := r.cellHook
 	r.mu.Unlock()
@@ -682,18 +726,18 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 		defer func() {
 			if p := recover(); p != nil {
 				ch <- outcome{err: withCode(ErrCellPanic,
-					fmt.Errorf("harness: cell %s: panic: %v\n%s", key, p, debug.Stack()))}
+					fmt.Errorf("harness: cell %s: panic: %v\n%s", key.CellKey(), p, debug.Stack()))}
 			}
 		}()
 		if hook != nil {
-			if err := hook(key.String()); err != nil {
-				ch <- outcome{err: fmt.Errorf("harness: cell %s: %w", key, err)}
+			if err := hook(key.CellKey()); err != nil {
+				ch <- outcome{err: fmt.Errorf("harness: cell %s: %w", key.CellKey(), err)}
 				return
 			}
 		}
 		o := r.simulate(key, lease)
 		if o.err != nil {
-			o.err = fmt.Errorf("harness: cell %s: %w", key, o.err)
+			o.err = fmt.Errorf("harness: cell %s: %w", key.CellKey(), o.err)
 		}
 		ch <- o
 	}()
@@ -709,37 +753,44 @@ func (r *Runner) attemptCell(ctx context.Context, key runKey, timeout time.Durat
 		return o
 	case <-watchdog:
 		return outcome{err: withCode(ErrCellTimeout,
-			fmt.Errorf("harness: cell %s: no result after %v; watchdog abandoned the worker", key, timeout))}
+			fmt.Errorf("harness: cell %s: no result after %v; watchdog abandoned the worker", key.CellKey(), timeout))}
 	case <-ctx.Done():
 		return outcome{err: withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: attempt abandoned: %w", key, ctx.Err()))}
+			fmt.Errorf("harness: cell %s: attempt abandoned: %w", key.CellKey(), ctx.Err()))}
 	}
 }
 
 // options builds the system.Options a cell simulates.
-func (r *Runner) options(key runKey) (system.Options, error) {
-	w, ok := trace.ByName(key.workload)
+func (r *Runner) options(key CellSpec) (system.Options, error) {
+	w, ok := trace.ByName(key.Workload)
 	if !ok {
-		return system.Options{}, fmt.Errorf("unknown workload %q", key.workload)
+		return system.Options{}, fmt.Errorf("unknown workload %q", key.Workload)
+	}
+	d, err := parseDesign(key.Design)
+	if err != nil {
+		return system.Options{}, err
+	}
+	s, err := parseSetting(key.Setting)
+	if err != nil {
+		return system.Options{}, err
 	}
 	var dcfg *core.Config
-	if key.design == system.DesignDyLeCT {
+	if d == system.DesignDyLeCT {
 		c := core.DefaultConfig()
-		c.SamplePeriod = key.samplePeriod
-		c.DirectToML0 = key.directToML0
+		c.SamplePeriod = key.SamplePeriod
+		c.DirectToML0 = key.DirectToML0
 		dcfg = &c
 	}
 	return system.Options{
 		Workload:       w,
-		Design:         key.design,
-		Setting:        key.setting,
-		HugePages:      key.hugePages,
-		CTECacheBytes:  key.cteCacheBytes,
-		Granularity:    key.granularity,
-		GroupSize:      key.groupSize,
-		PerfectCTE:     key.perfectCTE,
-		EmbedPTB:       key.embedPTB,
-		Ranks:          key.ranks,
+		Design:         d,
+		Setting:        s,
+		HugePages:      key.HugePages,
+		CTECacheBytes:  key.CTECacheBytes,
+		Granularity:    key.Granularity,
+		GroupSize:      key.GroupSize,
+		PerfectCTE:     key.PerfectCTE,
+		EmbedPTB:       key.EmbedPTB,
 		WarmupAccesses: r.Cfg.WarmupAccesses,
 		Window:         r.Cfg.Window,
 		ScaleDivisor:   r.Cfg.ScaleDivisor,
@@ -755,7 +806,7 @@ func (r *Runner) options(key runKey) (system.Options, error) {
 // warm lease (nil for none) selects how it warms up, which the outcome's
 // source reports: restoring its group's image, recording the image for the
 // group, or live.
-func (r *Runner) simulate(key runKey, lease *warmLease) outcome {
+func (r *Runner) simulate(key CellSpec, lease *warmLease) outcome {
 	opts, err := r.options(key)
 	if err != nil {
 		return outcome{err: err}
@@ -812,12 +863,12 @@ func (r *Runner) ScaledCTECache(paperBytes int) int {
 
 // Baseline returns the no-compression bigger-memory result for a workload.
 func (r *Runner) Baseline(wl string) *system.Result {
-	return r.get(wl, system.DesignNoComp, system.SettingNone, defaultVariant())
+	return r.get(cell(wl, system.DesignNoComp, system.SettingNone))
 }
 
 // Design returns a design's result at a compression setting.
 func (r *Runner) Design(wl string, d system.Design, s system.Setting) *system.Result {
-	return r.get(wl, d, s, defaultVariant())
+	return r.get(cell(wl, d, s))
 }
 
 // Runs reports how many distinct simulations have completed.

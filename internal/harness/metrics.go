@@ -16,8 +16,8 @@ import (
 // the deterministic exports.
 
 // MetricsRow is one NDJSON line of ExportMetricsNDJSON: one interval sample
-// tagged with its cell. Cell is the human-readable key (may elide default
-// variant fields); Key is the full unique cell key.
+// tagged with its cell. Cell is the human-readable key (CellKey, which
+// elides default knobs); Key is the full unique cell key (fileKey).
 type MetricsRow struct {
 	Cell string `json:"cell"`
 	Key  string `json:"key"`
@@ -26,8 +26,8 @@ type MetricsRow struct {
 
 // completedKeysLocked returns the keys of every successfully completed cell,
 // sorted by full cell key. Callers must hold r.mu.
-func (r *Runner) completedKeysLocked() []runKey {
-	keys := make([]runKey, 0, len(r.cache))
+func (r *Runner) completedKeysLocked() []CellSpec {
+	keys := make([]CellSpec, 0, len(r.cache))
 	for k, f := range r.cache {
 		if settledOK(f) {
 			keys = append(keys, k)
@@ -50,7 +50,7 @@ func (r *Runner) ExportMetricsNDJSON() ([]byte, error) {
 		if f.obs == nil {
 			continue
 		}
-		cell, fk := k.String(), k.fileKey()
+		cell, fk := k.CellKey(), k.fileKey()
 		for _, s := range f.obs.Samples {
 			line, err := json.Marshal(MetricsRow{Cell: cell, Key: fk, Sample: s})
 			if err != nil {
@@ -75,7 +75,7 @@ func (r *Runner) ExportTraceJSON() ([]byte, error) {
 		if f.obs == nil {
 			continue
 		}
-		cells = append(cells, metrics.CellTrace{Name: k.String(), Data: f.obs})
+		cells = append(cells, metrics.CellTrace{Name: k.CellKey(), Data: f.obs})
 	}
 	return metrics.MarshalTrace(cells)
 }
@@ -105,7 +105,7 @@ func (r *Runner) ExportProfileJSON() ([]byte, error) {
 	for _, k := range r.completedKeysLocked() {
 		f := r.cache[k]
 		out = append(out, ProfileRow{
-			Cell:      k.String(),
+			Cell:      k.CellKey(),
 			Key:       k.fileKey(),
 			WallMS:    float64(f.report.WallNS) / 1e6,
 			PeakRSSKB: f.report.PeakRSSKB,

@@ -11,15 +11,14 @@ import (
 // large share of the CTE misses; under 2MB huge pages walks are ~20x rarer
 // and the optimization cannot fire, leaving TMCC exposed to the translation
 // problem DyLeCT solves. The embed knob is part of the cell key
-// (variant.embedPTB), so all four cells per workload are memoized.
+// (CellSpec.EmbedPTB), so all four cells per workload are memoized.
 func Motivation(r *Runner) []string {
 	t := stats.NewTable("Section III-A: TMCC's PTB embedding helps under 4KB pages, not under 2MB",
 		"Benchmark", "4K hit%", "4K+embed hit%", "embed hints/walk(4K)", "2M hit%", "2M+embed hit%")
 	run := func(wl string, huge, embed bool) *system.Result {
-		v := defaultVariant()
-		v.hugePages = huge
-		v.embedPTB = embed
-		return r.get(wl, system.DesignTMCC, system.SettingHigh, v)
+		c := cell(wl, system.DesignTMCC, system.SettingHigh)
+		c.HugePages, c.EmbedPTB = huge, embed
+		return r.get(c)
 	}
 	for _, wl := range r.sweepWorkloads() {
 		p4 := run(wl, false, false)

@@ -70,10 +70,10 @@ func RunExperiments(r *Runner, exps []Experiment, opts ExecOptions) ([]Experimen
 }
 
 // planCells dry-runs the experiments against a planning runner sharing cfg
-// (so variant normalization matches) and returns the deduplicated cell set
-// in first-request order. Experiments that panic during planning plan
-// nothing further; the real run surfaces their error.
-func planCells(cfg Config, exps []Experiment) []runKey {
+// (so spec normalization matches) and returns the deduplicated cell set in
+// first-request order. Experiments that panic during planning plan nothing
+// further; the real run surfaces their error.
+func planCells(cfg Config, exps []Experiment) []CellSpec {
 	p := NewRunner(cfg)
 	p.planning = true
 	for _, e := range exps {
@@ -88,13 +88,11 @@ func planCells(cfg Config, exps []Experiment) []runKey {
 // PlannedCell identifies one cell an experiment list will simulate. The
 // serving layer sizes admission control from the plan's length (its cost
 // model) and keys its per-(workload, design) circuit breakers from the
-// Workload and Design fields.
+// cell key.
 type PlannedCell struct {
-	Workload string
-	Design   string
-	Setting  string
-	// Cell is the human-readable cell key (runKey.String form) — the same
-	// string cell errors, the cell hook, and the settlement hook carry.
+	CellSpec
+	// Cell is the spec's CellKey — the same string cell errors, the cell
+	// hook, and the settlement hook carry.
 	Cell string
 }
 
@@ -105,12 +103,7 @@ func PlanExperiments(cfg Config, exps []Experiment) []PlannedCell {
 	plan := planCells(cfg, exps)
 	out := make([]PlannedCell, len(plan))
 	for i, k := range plan {
-		out[i] = PlannedCell{
-			Workload: k.workload,
-			Design:   k.design.String(),
-			Setting:  k.setting.String(),
-			Cell:     k.String(),
-		}
+		out[i] = PlannedCell{CellSpec: k, Cell: k.CellKey()}
 	}
 	return out
 }
@@ -161,7 +154,7 @@ func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
 // needs beyond the plan (a planning miss) are still simulated lazily and
 // merely lose overlap. A failed cell or a panic fails only the experiments
 // it reaches, reported in their outputs.
-func runPlan(r *Runner, plan []runKey, exps []Experiment) []ExperimentOutput {
+func runPlan(r *Runner, plan []CellSpec, exps []Experiment) []ExperimentOutput {
 	warmed := r.startPlan(plan)
 	outs := make([]ExperimentOutput, len(exps))
 	var wg sync.WaitGroup

@@ -7,11 +7,12 @@ import (
 
 	"dylect/internal/metrics"
 	"dylect/internal/system"
+	"dylect/internal/trace"
 )
 
 // Remote execution: the distributed fabric (internal/fabric) moves single
 // cells between processes, and this file is the harness's half of that
-// contract. A CellSpec is the wire form of a fully-normalized cell key; a
+// contract. A CellSpec, the cell key itself, is the wire form; a
 // RemoteExecutor turns a spec into the cell's canonical persisted payload
 // (the same cellRecord JSON Checkpoint.Store writes). Because the payload a
 // worker returns is byte-for-byte the payload a local run would have
@@ -21,111 +22,15 @@ import (
 // re-dispatching a cell that already ran somewhere is idempotent by
 // construction.
 
-// CellSpec is the exported, JSON-serializable identity of one cell. Every
-// runKey field participates, so two distinct cells can never share a spec.
-// Specs produced by the harness are fully normalized; the executing side
-// re-normalizes defensively so a hand-built spec with zeroed knobs still
-// lands on the canonical key.
-type CellSpec struct {
-	Workload      string `json:"workload"`
-	Design        string `json:"design"`
-	Setting       string `json:"setting"`
-	HugePages     bool   `json:"hugePages"`
-	CTECacheBytes int    `json:"cteCacheBytes"`
-	Granularity   uint64 `json:"granularity"`
-	GroupSize     uint64 `json:"groupSize"`
-	PerfectCTE    bool   `json:"perfectCTE"`
-	Ranks         int    `json:"ranks"`
-	EmbedPTB      bool   `json:"embedPTB"`
-	DirectToML0   bool   `json:"directToML0"`
-	SamplePeriod  uint64 `json:"samplePeriod"`
-}
-
-// CellKey renders the spec in runKey.String form — the key the breaker,
-// telemetry, and fault-injection hooks all speak.
-func (s CellSpec) CellKey() string {
-	k, err := s.runKey()
-	if err != nil {
-		return fmt.Sprintf("%s/%s/%s", s.Workload, s.Design, s.Setting)
-	}
-	return k.String()
-}
-
-func specOf(k runKey) CellSpec {
-	return CellSpec{
-		Workload:      k.workload,
-		Design:        k.design.String(),
-		Setting:       k.setting.String(),
-		HugePages:     k.hugePages,
-		CTECacheBytes: k.cteCacheBytes,
-		Granularity:   k.granularity,
-		GroupSize:     k.groupSize,
-		PerfectCTE:    k.perfectCTE,
-		Ranks:         k.ranks,
-		EmbedPTB:      k.embedPTB,
-		DirectToML0:   k.directToML0,
-		SamplePeriod:  k.samplePeriod,
-	}
-}
-
-func parseDesign(s string) (system.Design, error) {
-	for _, d := range []system.Design{system.DesignNoComp, system.DesignTMCC, system.DesignDyLeCT, system.DesignNaive} {
-		if d.String() == s {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("harness: unknown design %q", s)
-}
-
-func parseSetting(s string) (system.Setting, error) {
-	for _, st := range []system.Setting{system.SettingLow, system.SettingHigh, system.SettingNone} {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("harness: unknown setting %q", s)
-}
-
-func (s CellSpec) runKey() (runKey, error) {
-	d, err := parseDesign(s.Design)
-	if err != nil {
-		return runKey{}, err
-	}
-	st, err := parseSetting(s.Setting)
-	if err != nil {
-		return runKey{}, err
-	}
-	if s.Workload == "" {
-		return runKey{}, fmt.Errorf("harness: cell spec has no workload")
-	}
-	return runKey{
-		workload: s.Workload,
-		design:   d,
-		setting:  st,
-		variant: variant{
-			hugePages:     s.HugePages,
-			cteCacheBytes: s.CTECacheBytes,
-			granularity:   s.Granularity,
-			groupSize:     s.GroupSize,
-			perfectCTE:    s.PerfectCTE,
-			ranks:         s.Ranks,
-			embedPTB:      s.EmbedPTB,
-			directToML0:   s.DirectToML0,
-			samplePeriod:  s.SamplePeriod,
-		},
-	}, nil
-}
-
 // PayloadKey returns the durable-store key a cell's payload is filed under:
 // the canonical config hash scoping the key plus the flattened cell name.
 // Coordinator and worker compute it independently from their own Config, so
 // a verified envelope carrying any other key proves the two sides disagree.
 func PayloadKey(cfgHash string, spec CellSpec) (string, error) {
-	k, err := spec.runKey()
-	if err != nil {
+	if err := spec.check(); err != nil {
 		return "", err
 	}
-	return k.storeKey(cfgHash), nil
+	return spec.storeKey(cfgHash), nil
 }
 
 // encodeCellPayload renders a completed cell as its canonical persisted
@@ -171,14 +76,14 @@ func (r *Runner) SetRemoteExecutor(exec RemoteExecutor) {
 
 // remoteCell dispatches one cell through the installed executor and settles
 // it from the returned payload.
-func (r *Runner) remoteCell(ctx context.Context, key runKey, exec RemoteExecutor, cp *Checkpoint) (*system.Result, *metrics.Data, error) {
-	payload, err := exec(ctx, specOf(key))
+func (r *Runner) remoteCell(ctx context.Context, key CellSpec, exec RemoteExecutor, cp *Checkpoint) (*system.Result, *metrics.Data, error) {
+	payload, err := exec(ctx, key)
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: cell %s: %w", key, err)
+		return nil, nil, fmt.Errorf("harness: cell %s: %w", key.CellKey(), err)
 	}
 	res, obs, err := decodeCellPayload(payload)
 	if err != nil {
-		return nil, nil, fmt.Errorf("harness: cell %s: remote %w", key, err)
+		return nil, nil, fmt.Errorf("harness: cell %s: remote %w", key.CellKey(), err)
 	}
 	if cp != nil {
 		if err := cp.AdoptPayload(key, payload); err != nil {
@@ -194,15 +99,42 @@ func (r *Runner) remoteCell(ctx context.Context, key runKey, exec RemoteExecutor
 // worker-side entry point of the fabric protocol; ctx bounds the wait the
 // same way a request-scoped view's context does.
 func (r *Runner) ExecuteCell(ctx context.Context, spec CellSpec) ([]byte, error) {
-	key, err := spec.runKey()
-	if err != nil {
+	if err := spec.check(); err != nil {
 		return nil, err
 	}
-	key.variant = r.normalize(key.variant)
-	view := r.WithContext(ctx)
-	res, obs, err := view.resultObs(key)
+	res, obs, err := r.WithContext(ctx).resultObs(r.normalize(spec))
 	if err != nil {
 		return nil, err
 	}
 	return encodeCellPayload(res, obs)
+}
+
+// Admits reports whether a worker should run spec: the spec passes the
+// check ExecuteCell makes, and its normalized form is a cell that some plan
+// of the runner's config contains (admissible). A worker refuses any other
+// spec before the runner sees it, so a peer cannot make it simulate, and
+// memoize for good, cells that no coordinator would send.
+func (r *Runner) Admits(spec CellSpec) bool {
+	if spec.check() != nil {
+		return false
+	}
+	r.domain.once.Do(func() { r.domain.cells = admissible(r.Cfg) })
+	return r.domain.cells[r.normalize(spec)]
+}
+
+// admissible is the union, over every known workload w, of the cells the
+// registered experiments plan for cfg with Workloads = [w]. ConfigHash
+// leaves the workload list out, so a coordinator under the same hash may
+// plan any list; and a list of four or fewer runs every sweep over each of
+// its workloads (sweepWorkloads), so the single-workload plans hold the
+// cells of every list.
+func admissible(cfg Config) map[CellSpec]bool {
+	cells := map[CellSpec]bool{}
+	for _, w := range trace.Names() {
+		cfg.Workloads = []string{w}
+		for _, c := range planCells(cfg, Experiments()) {
+			cells[c] = true
+		}
+	}
+	return cells
 }

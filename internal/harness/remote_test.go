@@ -14,9 +14,9 @@ import (
 	"dylect/internal/system"
 )
 
-// TestCellSpecRoundTrip proves CellSpec is a lossless wire form of runKey:
-// every planned cell of every experiment survives key -> spec -> JSON ->
-// spec -> key unchanged.
+// TestCellSpecRoundTrip proves CellSpec is a lossless wire form of the cell
+// key: every planned cell of every experiment survives spec -> JSON -> spec
+// unchanged, passes the check a worker makes, and is normalized.
 func TestCellSpecRoundTrip(t *testing.T) {
 	cfg := Quick()
 	var exps []Experiment
@@ -28,9 +28,9 @@ func TestCellSpecRoundTrip(t *testing.T) {
 	if len(keys) == 0 {
 		t.Fatal("no cells planned")
 	}
+	r := NewRunner(cfg)
 	for _, k := range keys {
-		spec := specOf(k)
-		data, err := json.Marshal(spec)
+		data, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,12 +38,11 @@ func TestCellSpecRoundTrip(t *testing.T) {
 		if err := json.Unmarshal(data, &back); err != nil {
 			t.Fatal(err)
 		}
-		k2, err := back.runKey()
-		if err != nil {
-			t.Fatalf("spec of %s does not parse back: %v", k, err)
+		if err := back.check(); err != nil {
+			t.Fatalf("spec of %s fails its check: %v", k.CellKey(), err)
 		}
-		if k2 != k {
-			t.Fatalf("round trip changed the key: %s -> %s", k, k2)
+		if back != k || r.normalize(back) != back {
+			t.Fatalf("round trip changed the key: %+v -> %+v", k, back)
 		}
 	}
 	// Bad specs are rejected, not mapped onto some default cell.
@@ -52,84 +51,115 @@ func TestCellSpecRoundTrip(t *testing.T) {
 		{Workload: "omnetpp", Design: "tmcc", Setting: "sideways"},
 		{Design: "tmcc", Setting: "high"},
 	} {
-		if _, err := bad.runKey(); err == nil {
-			t.Errorf("spec %+v parsed; want rejection", bad)
+		if err := bad.check(); err == nil {
+			t.Errorf("spec %+v passed its check; want rejection", bad)
 		}
 	}
 }
 
-// TestCellKeyFieldCoverage holds CellSpec's promise that every runKey
-// field participates. Each field, the variant's included, has one mutator
-// that changes only that field, and the mutated key must survive the wire
-// spec and change the store file name and the export's key columns and
-// sort position. A key field without a mutator fails the test, so a new
-// knob cannot be added to the key without a wire and store identity:
-// otherwise two cells would share one spec and one store address, and a
-// cluster merge would be silently wrong.
+// TestCellKeyFieldCoverage holds CellSpec's promise that every field
+// participates. Each field has one mutator that changes only that field,
+// and the mutated key must change the store file name, the export's key
+// columns and its sort position. A field without a mutator fails the test,
+// so a new knob cannot join the key without a store identity and an export
+// order: otherwise two cells would share one store address, and a cluster
+// merge would be silently wrong.
 func TestCellKeyFieldCoverage(t *testing.T) {
-	mutators := map[string]func(*runKey){
-		"workload":      func(k *runKey) { k.workload = "mcf" },
-		"design":        func(k *runKey) { k.design = system.DesignTMCC },
-		"setting":       func(k *runKey) { k.setting = system.SettingLow },
-		"hugePages":     func(k *runKey) { k.hugePages = !k.hugePages },
-		"cteCacheBytes": func(k *runKey) { k.cteCacheBytes *= 2 },
-		"granularity":   func(k *runKey) { k.granularity *= 2 },
-		"groupSize":     func(k *runKey) { k.groupSize++ },
-		"perfectCTE":    func(k *runKey) { k.perfectCTE = !k.perfectCTE },
-		"ranks":         func(k *runKey) { k.ranks++ },
-		"embedPTB":      func(k *runKey) { k.embedPTB = !k.embedPTB },
-		"directToML0":   func(k *runKey) { k.directToML0 = !k.directToML0 },
-		"samplePeriod":  func(k *runKey) { k.samplePeriod++ },
+	mutators := map[string]func(*CellSpec){
+		"Workload":      func(k *CellSpec) { k.Workload = "mcf" },
+		"Design":        func(k *CellSpec) { k.Design = system.DesignTMCC.String() },
+		"Setting":       func(k *CellSpec) { k.Setting = system.SettingLow.String() },
+		"HugePages":     func(k *CellSpec) { k.HugePages = !k.HugePages },
+		"CTECacheBytes": func(k *CellSpec) { k.CTECacheBytes *= 2 },
+		"Granularity":   func(k *CellSpec) { k.Granularity *= 2 },
+		"GroupSize":     func(k *CellSpec) { k.GroupSize++ },
+		"PerfectCTE":    func(k *CellSpec) { k.PerfectCTE = !k.PerfectCTE },
+		"EmbedPTB":      func(k *CellSpec) { k.EmbedPTB = !k.EmbedPTB },
+		"DirectToML0":   func(k *CellSpec) { k.DirectToML0 = !k.DirectToML0 },
+		"SamplePeriod":  func(k *CellSpec) { k.SamplePeriod++ },
 	}
-	base := runKey{workload: "omnetpp", design: system.DesignDyLeCT, setting: system.SettingHigh,
-		variant: NewRunner(microConfig()).normalize(defaultVariant())}
+	base := NewRunner(microConfig()).normalize(cell("omnetpp", system.DesignDyLeCT, system.SettingHigh))
 	res := &system.Result{}
-	fields := 0
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(base)) {
-		if f.Anonymous {
-			continue // the embedded variant; its fields are visited one by one
+	exported := func(k CellSpec) []byte {
+		data, err := json.Marshal(rawOf(k, res))
+		if err != nil {
+			t.Fatal(err)
 		}
-		fields++
+		return data
+	}
+	fields := reflect.VisibleFields(reflect.TypeOf(base))
+	for _, f := range fields {
 		mutate, ok := mutators[f.Name]
 		if !ok {
-			t.Errorf("runKey field %s has no mutator: add one, and carry the field in CellSpec, fileKey, RawResult and lessRaw", f.Name)
+			t.Errorf("CellSpec field %s has no mutator: add one, and carry the field in fileKey and lessSpec", f.Name)
 			continue
 		}
 		k := base
 		mutate(&k)
-		for _, g := range reflect.VisibleFields(reflect.TypeOf(base)) {
+		for _, g := range fields {
 			same := reflect.ValueOf(k).FieldByIndex(g.Index).Equal(reflect.ValueOf(base).FieldByIndex(g.Index))
-			if !g.Anonymous && same == (g.Name == f.Name) {
+			if same == (g.Name == f.Name) {
 				t.Fatalf("the %s mutator changed %s: %+v", f.Name, g.Name, k)
 			}
-		}
-		if back, err := specOf(k).runKey(); err != nil || back != k {
-			t.Errorf("%s: spec round trip gave %+v, %v; want %+v", f.Name, back, err, k)
 		}
 		if k.fileKey() == base.fileKey() {
 			t.Errorf("%s: fileKey ignores the field: %s", f.Name, k.fileKey())
 		}
-		a, b := rawOf(base, res), rawOf(k, res)
-		if a == b {
-			t.Errorf("%s: rawOf's key columns ignore the field", f.Name)
+		if bytes.Equal(exported(base), exported(k)) {
+			t.Errorf("%s: the export's key columns ignore the field", f.Name)
 		}
-		if !lessRaw(a, b) && !lessRaw(b, a) {
-			t.Errorf("%s: lessRaw does not order the two cells", f.Name)
+		if !lessSpec(base, k) && !lessSpec(k, base) {
+			t.Errorf("%s: lessSpec does not order the two cells", f.Name)
 		}
 	}
-	if fields != len(mutators) {
-		t.Errorf("%d mutators for %d runKey fields: delete the stale ones", len(mutators), fields)
+	if len(fields) != len(mutators) {
+		t.Errorf("%d mutators for %d CellSpec fields: delete the stale ones", len(mutators), len(fields))
 	}
 }
 
-// FuzzCellSpec drives a worker's decode chain, CellSpec JSON to runKey to
+// TestCellKeyStringsArePinned pins the strings that outlive a build. A store
+// written by one build must still hit under the next, so fileKey, the
+// store address, must not move; breaker classes, -chaos matches and
+// dybench's cell timer key on CellKey, which names the four variants that
+// change the translation path and no other knob.
+func TestCellKeyStringsArePinned(t *testing.T) {
+	base := NewRunner(Quick()).normalize(cell("omnetpp", system.DesignDyLeCT, system.SettingHigh))
+	if got, want := base.fileKey(), "omnetpp_dylect_high_hptrue_cte16384_gran4096_grp3_pctefalse_ptbfalse_dml0false_sp20_r0.json"; got != want {
+		t.Errorf("fileKey = %q, want %q", got, want)
+	}
+	for _, tc := range []struct {
+		edit func(*CellSpec)
+		want string
+	}{
+		{func(*CellSpec) {}, "omnetpp/dylect/high"},
+		{func(c *CellSpec) { c.HugePages = false }, "omnetpp/dylect/high/4K"},
+		{func(c *CellSpec) { c.PerfectCTE = true }, "omnetpp/dylect/high/perfectCTE"},
+		{func(c *CellSpec) { c.EmbedPTB = true }, "omnetpp/dylect/high/embedPTB"},
+		{func(c *CellSpec) { c.DirectToML0 = true }, "omnetpp/dylect/high/directToML0"},
+		{func(c *CellSpec) {
+			c.HugePages, c.PerfectCTE, c.EmbedPTB, c.DirectToML0 = false, true, true, true
+		}, "omnetpp/dylect/high/4K/perfectCTE/embedPTB/directToML0"},
+		{func(c *CellSpec) {
+			c.CTECacheBytes, c.Granularity, c.GroupSize, c.SamplePeriod = 8<<10, 16<<10, 7, 80
+		}, "omnetpp/dylect/high"},
+	} {
+		k := base
+		tc.edit(&k)
+		if got := k.CellKey(); got != tc.want {
+			t.Errorf("CellKey of %+v = %q, want %q", k, got, tc.want)
+		}
+	}
+}
+
+// FuzzCellSpec drives a worker's decode chain, CellSpec JSON to check to
 // normalize, with arbitrary bytes. No input may panic, and every accepted
-// spec's canonical form (specOf of the normalized key) is a fixed point: it
-// survives JSON, parses back to the same key, and normalizes to itself.
+// spec's canonical form (the normalized spec) is a fixed point: it survives
+// JSON, passes the check, normalizes to itself, and keeps the accepted
+// spec's cell key.
 func FuzzCellSpec(f *testing.F) {
 	r := NewRunner(microConfig())
 	for _, k := range planCells(microConfig(), []Experiment{mustExperiment(f, "fig3"), mustExperiment(f, "abl-sampling")}) {
-		data, err := json.Marshal(specOf(k))
+		data, err := json.Marshal(k)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -140,15 +170,10 @@ func FuzzCellSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec CellSpec
-		if json.Unmarshal(data, &spec) != nil {
+		if json.Unmarshal(data, &spec) != nil || spec.check() != nil {
 			return
 		}
-		k, err := spec.runKey()
-		if err != nil {
-			return
-		}
-		k.variant = r.normalize(k.variant)
-		canon := specOf(k)
+		canon := r.normalize(spec)
 		wire, err := json.Marshal(canon)
 		if err != nil {
 			t.Fatalf("canonical spec %+v does not encode: %v", canon, err)
@@ -157,15 +182,14 @@ func FuzzCellSpec(f *testing.F) {
 		if err := json.Unmarshal(wire, &back); err != nil || back != canon {
 			t.Fatalf("canonical spec changed over JSON: %+v -> %+v (%v)", canon, back, err)
 		}
-		k2, err := back.runKey()
-		if err != nil || k2 != k {
-			t.Fatalf("canonical spec %+v parses to %+v, %v; want %+v", back, k2, err, k)
+		if err := back.check(); err != nil {
+			t.Fatalf("canonical spec %+v fails its check: %v", back, err)
 		}
-		if r.normalize(k2.variant) != k2.variant {
-			t.Fatalf("normalizing the canonical key changed it: %+v", k2)
+		if r.normalize(back) != back {
+			t.Fatalf("normalizing the canonical spec changed it: %+v", back)
 		}
-		if back.CellKey() != k.String() {
-			t.Fatalf("CellKey %q, want %q", back.CellKey(), k.String())
+		if back.CellKey() != spec.CellKey() {
+			t.Fatalf("CellKey %q, want %q", back.CellKey(), spec.CellKey())
 		}
 	})
 }
@@ -191,8 +215,6 @@ func TestOutOfRangeSpecsFailCleanly(t *testing.T) {
 	}{
 		{"granularity-3", func(s *CellSpec) { s.Granularity = 3 }},
 		{"granularity-2^40", func(s *CellSpec) { s.Granularity = 1 << 40 }},
-		{"ranks--1", func(s *CellSpec) { s.Ranks = -1 }},
-		{"ranks-2^30", func(s *CellSpec) { s.Ranks = 1 << 30 }},
 		{"cte-cache--64", func(s *CellSpec) { s.CTECacheBytes = -64 }},
 		{"cte-cache-100", func(s *CellSpec) { s.CTECacheBytes = 100 }},
 		{"cte-cache-2^40", func(s *CellSpec) { s.CTECacheBytes = 1 << 40 }},
@@ -200,12 +222,10 @@ func TestOutOfRangeSpecsFailCleanly(t *testing.T) {
 	}
 	r := NewRunner(microConfig())
 	build := func(spec CellSpec) error {
-		key, err := spec.runKey()
-		if err != nil {
+		if err := spec.check(); err != nil {
 			t.Fatal(err)
 		}
-		key.variant = r.normalize(key.variant)
-		opts, err := r.options(key)
+		opts, err := r.options(r.normalize(spec))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,7 +258,7 @@ func TestOutOfRangeSpecsFailCleanly(t *testing.T) {
 func TestExecuteCellPayloadIsCanonical(t *testing.T) {
 	cfg := microConfig()
 	key := planCells(cfg, []Experiment{mustByName(t, "fig17")})[0]
-	spec := specOf(key)
+	spec := key
 	ctx := context.Background()
 
 	// Local execution with a durable store: Checkpoint.Store persists it.

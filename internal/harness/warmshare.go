@@ -45,7 +45,7 @@ type warmLease struct {
 // warmShare is the Runner's shared-warmup registry, guarded by
 // runnerState.mu.
 type warmShare struct {
-	leases map[runKey]*warmLease
+	leases map[CellSpec]*warmLease
 	// images counts the groups holding an image slot.
 	images int
 }
@@ -53,7 +53,7 @@ type warmShare struct {
 // plannedCell is a fresh planned cell whose flight the plan created and will
 // start.
 type plannedCell struct {
-	key runKey
+	key CellSpec
 	f   *flight
 }
 
@@ -69,7 +69,7 @@ type startGroup struct {
 // views block on the flight), and groups the fresh cells by warm key. The
 // first batch holds the cells that share nothing; it starts at once. Each
 // group's release sends one value on the returned channel.
-func (r *Runner) claimPlan(ctx context.Context, plan []runKey) ([]startGroup, <-chan struct{}) {
+func (r *Runner) claimPlan(ctx context.Context, plan []CellSpec) ([]startGroup, <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var solo startGroup
@@ -125,7 +125,7 @@ func (r *Runner) imageSlots() int { return cap(r.sem) }
 // imageSlots of them started and unreleased. Once the context is done every
 // remaining cell starts at once and settles as not started. The returned
 // func waits until every claimed cell has settled.
-func (r *Runner) startPlan(plan []runKey) (wait func()) {
+func (r *Runner) startPlan(plan []CellSpec) (wait func()) {
 	ctx := r.callCtx()
 	batches, freed := r.claimPlan(ctx, plan)
 	r.mu.Lock()
@@ -164,7 +164,7 @@ func (r *Runner) startPlan(plan []runKey) (wait func()) {
 // its group's image (warmTake tells which), or nil to warm up live. Waiting
 // for a recording in flight honours ctx; when ctx is done and the recording
 // has also settled, the recording's outcome wins, as in resultObs.
-func (r *Runner) warmAcquire(ctx context.Context, key runKey) (*warmLease, error) {
+func (r *Runner) warmAcquire(ctx context.Context, key CellSpec) (*warmLease, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	l := r.warm.leases[key]
@@ -183,7 +183,7 @@ func (r *Runner) warmAcquire(ctx context.Context, key runKey) (*warmLease, error
 			r.mu.Lock()
 			if err != nil {
 				return nil, withCode(ErrCanceled,
-					fmt.Errorf("harness: cell %s: not started: %w", key, err))
+					fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), err))
 			}
 		case g.slot || r.warm.images < r.imageSlots():
 			if !g.slot {
@@ -259,7 +259,7 @@ func (r *Runner) warmRestored(l *warmLease) {
 // waking its waiters to record again, and the cell's membership ends. The
 // caller holds r.mu and has not yet evicted the cell's flight, so a later
 // flight of the same key never meets this cell's lease.
-func (r *Runner) warmSettle(key runKey) {
+func (r *Runner) warmSettle(key CellSpec) {
 	l := r.warm.leases[key]
 	if l == nil {
 		return

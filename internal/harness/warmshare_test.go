@@ -84,10 +84,10 @@ func checkNoLiveImage(t *testing.T, r *Runner) {
 // and requires a reflect.DeepEqual result. Cells listed in fromStore came
 // from a durable store, whose payload does not carry every Result field, and
 // are skipped.
-func checkMatchesLive(t *testing.T, r *Runner, fromStore ...runKey) {
+func checkMatchesLive(t *testing.T, r *Runner, fromStore ...CellSpec) {
 	t.Helper()
 	r.mu.Lock()
-	cells := map[runKey]*flight{}
+	cells := map[CellSpec]*flight{}
 	for k, f := range r.cache {
 		cells[k] = f
 	}
@@ -113,11 +113,11 @@ func checkMatchesLive(t *testing.T, r *Runner, fromStore ...runKey) {
 			}
 			live, err := system.RunE(opts)
 			if err != nil {
-				t.Errorf("%s: live run: %v", k, err)
+				t.Errorf("%s: live run: %v", k.CellKey(), err)
 				return
 			}
 			if !reflect.DeepEqual(f.res, live) {
-				t.Errorf("%s: shared-warmup result differs from live RunE\nshared: %+v\nlive:   %+v", k, f.res, live)
+				t.Errorf("%s: shared-warmup result differs from live RunE\nshared: %+v\nlive:   %+v", k.CellKey(), f.res, live)
 			}
 		}()
 	}
@@ -145,16 +145,16 @@ func TestSharedWarmupMatchesLiveEveryExperiment(t *testing.T) {
 	}
 	var want = map[string]bool{"4K": false, "embedPTB": false, "perfectCTE": false, "directToML0": false,
 		"granularity": false, "groupSize": false, "samplePeriod": false}
-	norm := r.normalize(defaultVariant())
+	norm := r.normalize(CellSpec{})
 	r.mu.Lock()
 	for k := range r.cache {
-		want["4K"] = want["4K"] || !k.hugePages
-		want["embedPTB"] = want["embedPTB"] || k.embedPTB
-		want["perfectCTE"] = want["perfectCTE"] || k.perfectCTE
-		want["directToML0"] = want["directToML0"] || k.directToML0
-		want["granularity"] = want["granularity"] || k.granularity != norm.granularity
-		want["groupSize"] = want["groupSize"] || k.groupSize != norm.groupSize
-		want["samplePeriod"] = want["samplePeriod"] || k.samplePeriod != norm.samplePeriod
+		want["4K"] = want["4K"] || !k.HugePages
+		want["embedPTB"] = want["embedPTB"] || k.EmbedPTB
+		want["perfectCTE"] = want["perfectCTE"] || k.PerfectCTE
+		want["directToML0"] = want["directToML0"] || k.DirectToML0
+		want["granularity"] = want["granularity"] || k.Granularity != norm.Granularity
+		want["groupSize"] = want["groupSize"] || k.GroupSize != norm.GroupSize
+		want["samplePeriod"] = want["samplePeriod"] || k.SamplePeriod != norm.SamplePeriod
 	}
 	r.mu.Unlock()
 	for v, seen := range want {
@@ -300,7 +300,7 @@ func TestSharedWarmupStoreHitsReleaseClaims(t *testing.T) {
 	if recorded, restored := warmCounts(src); recorded != 1 || restored == 0 {
 		t.Fatalf("%d recorded, %d restored alongside store hits", recorded, restored)
 	}
-	var hits []runKey
+	var hits []CellSpec
 	first.mu.Lock()
 	for k := range first.cache {
 		hits = append(hits, k)
@@ -341,8 +341,8 @@ func TestSharedWarmupRecorderPanic(t *testing.T) {
 			continue
 		}
 		failed++
-		if k.String() != key || !errors.Is(f.err, ErrCellPanic) {
-			t.Errorf("cell %s failed (%v); only the panicking recorder %s may", k, f.err, key)
+		if k.CellKey() != key || !errors.Is(f.err, ErrCellPanic) {
+			t.Errorf("cell %s failed (%v); only the panicking recorder %s may", k.CellKey(), f.err, key)
 		}
 	}
 	n := len(r.cache)
@@ -383,7 +383,7 @@ func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 	r.mu.Lock()
 	for k, f := range r.cache {
 		if f.err != nil {
-			t.Errorf("canceled cell %s still cached: %v", k, f.err)
+			t.Errorf("canceled cell %s still cached: %v", k.CellKey(), f.err)
 		}
 	}
 	r.mu.Unlock()
@@ -443,7 +443,7 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 		defer r.mu.Unlock()
 		n := 0
 		for k, l := range r.warm.leases {
-			if k.workload == "canneal" {
+			if k.Workload == "canneal" {
 				if l.member {
 					return false
 				}
@@ -476,7 +476,7 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	firstCells := 0
 	r.mu.Lock()
 	for k := range r.cache {
-		if k.workload != "canneal" {
+		if k.Workload != "canneal" {
 			firstCells++
 		}
 	}

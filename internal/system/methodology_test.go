@@ -103,6 +103,29 @@ func TestEnergyRanksComparison(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsOutOfRangeRanks: Build answers a rank count outside
+// [0, 16] with an error. Before the bound, -1 panicked in the DRAM model and
+// 1<<30 exhausted memory sizing the banks.
+func TestBuildRejectsOutOfRangeRanks(t *testing.T) {
+	w, _ := trace.ByName("omnetpp")
+	opts := Options{
+		Workload: w, Design: DesignDyLeCT, Setting: SettingHigh,
+		HugePages: true, CTECacheBytes: 8 << 10, Granularity: 4 << 10, GroupSize: 3,
+		ScaleDivisor: 16, FootprintFloor: 64 << 20,
+		WarmupAccesses: 30_000, Window: 15 * engine.Microsecond,
+	}
+	if _, err := Build(opts); err != nil {
+		t.Fatalf("the unedited options do not build: %v", err)
+	}
+	for _, ranks := range []int{-1, 1 << 30} {
+		o := opts
+		o.Ranks = ranks
+		if _, err := Build(o); err == nil {
+			t.Errorf("Build accepted %d ranks", ranks)
+		}
+	}
+}
+
 func TestDyLeCTPolicyOverride(t *testing.T) {
 	w, _ := trace.ByName("omnetpp")
 	base := Options{

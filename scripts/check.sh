@@ -212,9 +212,13 @@ if want serve; then
 	# boot_served starts the server and sets serve_pid/addr. log_mark
 	# remembers where this boot's log begins: both boots append to one
 	# file, so the address scan and the drain check must ignore earlier
-	# boots' lines or the warm boot would pick up the cold address.
+	# boots' lines or the warm boot would pick up the cold address. The
+	# log is created before the server starts: the child opens it only
+	# once it runs, and a scan of a missing file would fail the pipeline
+	# and, under set -e, the script.
 	boot_served() {
-		log_mark=$(wc -l 2>/dev/null <"$serve_log" || echo 0)
+		: >>"$serve_log"
+		log_mark=$(wc -l <"$serve_log")
 		"$serve_dir/dylect-served" "${serve_flags[@]}" >>"$serve_log" 2>&1 &
 		serve_pid=$!
 		addr=""

@@ -20,12 +20,13 @@
 #      transport break orphans the leases it held, so orphans are certain
 #      whatever the ring's hashing:
 #        worker2  clean
-#        worker3  -chaos hang::1  the first attempt it takes hangs past the
-#                                 hedge delay (failN counts the script's
-#                                 rule, and its empty match takes every
-#                                 cell) — the coordinator must hedge that
-#                                 cell to the next replica while worker3's
-#                                 watchdog abandons the straggler
+#        worker3  -chaos hang::1  the first attempt of every cell it takes
+#                                 hangs past the hedge delay (failN counts
+#                                 each cell's attempts, and the empty match
+#                                 takes every cell) — the coordinator must
+#                                 hedge each such cell to the next replica
+#                                 while worker3's watchdog abandons the
+#                                 straggler
 #      The client must still exit 0 and its response must be byte-identical
 #      to the reference. The /metrics scrape must show orphans, fired
 #      hedges, and remote-sourced cells, and the surviving processes must
