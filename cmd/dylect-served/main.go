@@ -14,8 +14,8 @@
 //
 // worker and coordinator form the distributed sweep fabric (internal/fabric,
 // DESIGN.md §16): the coordinator plans and merges sweeps, dispatching
-// checkpoint-missing cells over a consistent-hash ring of workers; merged
-// exports are byte-identical to a single-process run.
+// checkpoint-missing cells over a ring of workers placed by rendezvous
+// hashing; merged exports are byte-identical to a single-process run.
 //
 // The server prints "listening on ADDR" to stderr once the listener is up.
 // SIGINT/SIGTERM triggers the drain sequence: /readyz flips to 503

@@ -1,8 +1,29 @@
+// Package fabric is the distributed sweep layer: a coordinator that plans a
+// request into cells (via the harness), places them over its ledger of
+// workers by rendezvous hashing, dispatches each cell over HTTP/JSON, and
+// merges results through the unchanged local export path so distribution
+// can never change an exported byte. The correctness oracle is
+// byte-identity: every payload a worker returns is wrapped in the cellstore
+// envelope and re-verified (schema pin, sha256, exact key) before it is
+// trusted, and a verified payload is byte-for-byte what a local run would
+// have persisted.
+//
+// Robustness model: workers are monitored by heartbeat with
+// consecutive-failure scoring; a dead worker's in-flight cells are orphaned
+// (its member context is canceled, and with it every lease hung off it) and
+// re-dispatched to the next member in the cell's rendezvous order, which is
+// idempotent because cells are content-addressed. Straggler cells are
+// hedged to the next member after a p95-derived delay, first result wins.
+// Dispatch failures retry with jittered backoff honoring Retry-After. All of
+// it is observable through dedicated /metrics families.
 package fabric
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,6 +33,7 @@ import (
 	"net/url"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -63,29 +85,26 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// workerState is the coordinator's health ledger for one worker.
+// workerState is the coordinator's ledger entry for one worker. The ring is
+// the set of entries with inRing set; there is no other membership record.
 type workerState struct {
 	url    string
 	inRing bool
 	fails  int // consecutive heartbeat/dispatch failures
-}
-
-// lease tracks one in-flight dispatch so a dead worker's cells can be
-// canceled (orphaned) the moment the heartbeat declares it dead.
-type lease struct {
-	id     int64
-	worker string
-	cell   string
+	// ctx lives while the worker is in the ring: every lease on the worker
+	// hangs off it, so cancel orphans them all at once.
+	ctx    context.Context
 	cancel context.CancelFunc
+	// inflight counts the dispatches holding a lease on the worker.
+	inflight int
 }
 
-// Coordinator shards planned cells over the worker ring and is installed as
-// the harness's RemoteExecutor: Execute is called once per
+// Coordinator places planned cells over its worker ledger and is installed
+// as the harness's RemoteExecutor: Execute is called once per
 // checkpoint-missing cell, concurrency-bounded by the runner's jobs
 // semaphore.
 type Coordinator struct {
-	cfg  Config
-	ring *Ring
+	cfg Config
 	// http dials workers. Leases bound each request, so it sets no global
 	// timeout.
 	http *http.Client
@@ -96,8 +115,6 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	workers map[string]*workerState
-	leases  map[int64]*lease
-	leaseID int64
 	// window holds recent successful dispatch durations for the p95 hedge
 	// delay (newest last, bounded to latencyWindow entries).
 	window []time.Duration
@@ -140,12 +157,10 @@ func New(cfg Config) *Coordinator {
 	}
 	c := &Coordinator{
 		cfg:     cfg,
-		ring:    NewRing(),
 		http:    &http.Client{},
 		log:     log,
 		met:     cfg.Metrics,
 		workers: make(map[string]*workerState),
-		leases:  make(map[int64]*lease),
 		jitter:  retry.NewJitter(cfg.Seed),
 		stop:    make(chan struct{}),
 	}
@@ -188,49 +203,99 @@ func (c *Coordinator) admit(url string) {
 	}
 	st.fails = 0
 	if !st.inRing {
-		st.inRing = true
-		c.ring.Add(url)
-		c.log.Info("fabric worker joined", "worker", url, "ring", c.ring.Size())
+		c.enterLocked(st, "fabric worker joined")
 	}
+}
+
+// enterLocked puts a known worker into the ring under a fresh member
+// context. The ledger owns that context, so it roots it in Background;
+// dropLocked cancels it.
+func (c *Coordinator) enterLocked(st *workerState, msg string) {
+	st.inRing = true
+	st.ctx, st.cancel = context.WithCancel(context.Background())
+	c.log.Info(msg, "worker", st.url, "ring", c.ringSizeLocked())
 	c.gaugesLocked()
 }
 
-// dropLocked removes a worker from the ring and cancels its in-flight
-// leases; those dispatches surface as orphans and re-dispatch.
+// dropLocked takes a worker out of the ring and cancels its member context,
+// and with it the lease of every dispatch in flight to it; those
+// dispatches surface as orphans and re-dispatch.
 func (c *Coordinator) dropLocked(url, why string) {
 	st := c.workers[url]
 	if st == nil || !st.inRing {
 		return
 	}
 	st.inRing = false
-	c.ring.Remove(url)
-	n := 0
-	for _, l := range c.leases {
-		if l.worker == url {
-			l.cancel()
-			n++
-		}
-	}
+	st.cancel()
 	c.log.Warn("fabric worker dropped", "worker", url, "why", why,
-		"orphaned_leases", n, "ring", c.ring.Size())
+		"orphaned_leases", st.inflight, "ring", c.ringSizeLocked())
 	c.gaugesLocked()
 }
 
 // Forget removes a worker entirely (leave announcement): it exits the ring
-// and the heartbeat stops probing it.
-func (c *Coordinator) Forget(url string) {
+// and the heartbeat stops probing it, so only a join re-admits it.
+func (c *Coordinator) Forget(url string) { c.forget(url, "leave announced") }
+
+func (c *Coordinator) forget(url, why string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.dropLocked(url, "leave announced")
+	c.dropLocked(url, why)
 	delete(c.workers, url)
 	c.gaugesLocked()
+}
+
+// replicasLocked is the placement: the in-ring members in key's rendezvous
+// (highest random weight) order, highest ringHash(member, key) first, ties
+// broken by URL. The first member owns the cell; failover and hedging walk
+// the rest. It is a pure function of the ledger, so two coordinators with
+// the same members agree on every order, and a join or leave moves only the
+// keys the changed member ranks first (~1/N of them).
+func (c *Coordinator) replicasLocked(key string) []string {
+	type scored struct {
+		url   string
+		score uint64
+	}
+	ranked := make([]scored, 0, len(c.workers))
+	for url, st := range c.workers {
+		if st.inRing {
+			ranked = append(ranked, scored{url, ringHash(url, key)})
+		}
+	}
+	slices.SortFunc(ranked, func(a, b scored) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.url, b.url))
+	})
+	out := make([]string, len(ranked))
+	for i, s := range ranked {
+		out[i] = s.url
+	}
+	return out
+}
+
+// ringHash scores member for key: the first 8 bytes of a SHA-256 over the
+// member's URL, a NUL (which no URL passing CheckWorkerURL holds) and the
+// key. Cryptographic dispersion matters here: the skew bound the tests
+// enforce assumes the scores are uniform.
+func ringHash(member, key string) uint64 {
+	var buf [128]byte
+	sum := sha256.Sum256(append(append(append(buf[:0], member...), 0), key...))
+	return binary.BigEndian.Uint64(sum[:8])
+}
+
+func (c *Coordinator) ringSizeLocked() int {
+	n := 0
+	for _, st := range c.workers {
+		if st.inRing {
+			n++
+		}
+	}
+	return n
 }
 
 func (c *Coordinator) gaugesLocked() {
 	if c.met == nil {
 		return
 	}
-	c.met.RingSize.Set(float64(c.ring.Size()))
+	c.met.RingSize.Set(float64(c.ringSizeLocked()))
 	c.met.WorkersKnown.Set(float64(len(c.workers)))
 }
 
@@ -284,10 +349,7 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 		if alive {
 			st.fails = 0
 			if !st.inRing {
-				st.inRing = true
-				c.ring.Add(u)
-				c.log.Info("fabric worker rejoined", "worker", u, "ring", c.ring.Size())
-				c.gaugesLocked()
+				c.enterLocked(st, "fabric worker rejoined")
 			}
 		} else {
 			st.fails++
@@ -346,7 +408,7 @@ func (c *Coordinator) handleMember(rw http.ResponseWriter, req *http.Request, jo
 		c.Forget(mr.Worker)
 	}
 	rw.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(rw).Encode(map[string]any{"ok": true, "ring": c.ring.Size()})
+	json.NewEncoder(rw).Encode(map[string]any{"ok": true, "ring": c.RingSize()})
 }
 
 // DispatchError is one failed dispatch, typed so the retry loop can tell
@@ -382,7 +444,7 @@ var errNoWorkers = errors.New("fabric: no live workers in the ring")
 
 // Execute is the harness RemoteExecutor: run one cell somewhere on the
 // ring, verify the returned envelope, and hand back the payload. It owns
-// placement (ring replicas in deterministic failover order), bounded retry
+// placement (the cell's rendezvous order, its failover order), bounded retry
 // with jittered backoff honoring Retry-After, hedged dispatch of
 // stragglers, and orphan re-dispatch. ctx is the cell's lease from the
 // runner's side (request deadline / drain).
@@ -399,7 +461,9 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 				return nil, err
 			}
 		}
-		reps := c.ring.Replicas(cellKey, c.ring.Size())
+		c.mu.Lock()
+		reps := c.replicasLocked(cellKey)
+		c.mu.Unlock()
 		if len(reps) == 0 {
 			last = errNoWorkers
 			continue
@@ -540,8 +604,8 @@ func (c *Coordinator) dispatchHedged(ctx context.Context, cellKey, storeKey stri
 func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string, spec harness.CellSpec, worker string) ([]byte, error) {
 	leaseCtx, cancel := context.WithTimeout(ctx, c.cfg.Lease)
 	defer cancel()
-	id := c.registerLease(worker, cellKey, cancel)
-	defer c.releaseLease(id)
+	release := c.lease(worker, cancel)
+	defer release()
 
 	body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: c.cfg.ConfigHash, Schema: c.cfg.Schema})
 	if err != nil {
@@ -592,10 +656,9 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 		}
 		if er.Code == CodeConfigMismatch {
 			// A worker running a different config or schema can never serve
-			// this sweep; evict it so the ring stops offering it cells.
-			c.mu.Lock()
-			c.dropLocked(worker, "config/schema mismatch")
-			c.mu.Unlock()
+			// this sweep. Forget it as a leave would: a ledger entry would
+			// let its next good heartbeat re-admit it, so only a join does.
+			c.forget(worker, "config/schema mismatch")
 		}
 		c.count(worker, OutcomeError)
 		c.noteFailure(worker)
@@ -669,20 +732,31 @@ func (c *Coordinator) noteSuccess(worker string) {
 	}
 }
 
-func (c *Coordinator) registerLease(worker, cell string, cancel context.CancelFunc) int64 {
+// lease hangs a dispatch's cancel off worker's member context, so dropping
+// the worker orphans the dispatch, and counts the dispatch in the worker's
+// in-flight total until release runs. A dispatch to a worker that left the
+// ring after placement is orphaned at once.
+func (c *Coordinator) lease(worker string, cancel context.CancelFunc) (release func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.leaseID++
-	id := c.leaseID
-	c.leases[id] = &lease{id: id, worker: worker, cell: cell, cancel: cancel}
-	return id
-}
-
-func (c *Coordinator) releaseLease(id int64) {
-	c.mu.Lock()
-	delete(c.leases, id)
-	c.mu.Unlock()
+	st := c.workers[worker]
+	if st == nil || !st.inRing {
+		cancel()
+		return func() {}
+	}
+	st.inflight++
+	stop := context.AfterFunc(st.ctx, cancel)
+	return func() {
+		stop()
+		c.mu.Lock()
+		st.inflight--
+		c.mu.Unlock()
+	}
 }
 
 // RingSize reports live ring membership (tests and stats).
-func (c *Coordinator) RingSize() int { return c.ring.Size() }
+func (c *Coordinator) RingSize() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ringSizeLocked()
+}

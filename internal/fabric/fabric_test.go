@@ -36,14 +36,25 @@ func microCfg() harness.Config {
 	}
 }
 
-// microSpec is one concrete cell of microCfg, for direct Execute tests.
-func microSpec() harness.CellSpec {
-	return harness.CellSpec{
-		Workload: "omnetpp",
-		Design:   system.DesignTMCC.String(),
-		Setting:  system.SettingHigh.String(),
+// microPlan is microCfg's plan of every registered experiment: the cells,
+// normalized, that a coordinator under microCfg sends.
+var microPlan = sync.OnceValue(func() []harness.PlannedCell {
+	return harness.PlanExperiments(microCfg(), harness.Experiments())
+})
+
+// plannedCell is the first cell of microPlan whose CellKey is key; the
+// first of a key carries the default knobs.
+func plannedCell(key string) harness.CellSpec {
+	for _, c := range microPlan() {
+		if c.Cell == key {
+			return c.CellSpec
+		}
 	}
+	panic("microCfg plans no cell " + key)
 }
+
+// microSpec is one planned cell of microCfg, for direct Execute tests.
+func microSpec() harness.CellSpec { return plannedCell("omnetpp/tmcc/high/4K") }
 
 // testWorker is one in-process worker: a real runner behind the fabric
 // handler set, with an optional middleware wrapping the cell endpoint to
@@ -363,24 +374,140 @@ func TestFabricHedgeStraggler(t *testing.T) {
 }
 
 // TestFabricConfigMismatchEvicts proves a worker running a different config
-// is evicted from the ring on first contact instead of being retried.
+// is evicted from the ring on first contact instead of being retried, and
+// stays out: it answers every heartbeat, yet across 20 heartbeat intervals
+// it neither rejoins the ring nor receives another dispatch.
 func TestFabricConfigMismatchEvicts(t *testing.T) {
 	other := microCfg()
 	other.WarmupAccesses++ // a different sweep identity
 	w1, _ := testWorker(t, other, nil)
-	coord, _ := newCoordinator([]string{w1.URL}, func(c *Config) {
+	const heartbeat = 10 * time.Millisecond
+	coord, met := newCoordinator([]string{w1.URL}, func(c *Config) {
 		c.Attempts = 2
+		c.Heartbeat = heartbeat
 	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	coord.Start(ctx)
+	defer coord.Stop()
 
-	_, err := coord.Execute(context.Background(), microSpec())
-	if err == nil {
-		t.Fatal("Execute succeeded against a mismatched worker")
+	execute := func() {
+		t.Helper()
+		_, err := coord.Execute(context.Background(), microSpec())
+		if err == nil {
+			t.Fatal("Execute succeeded against a mismatched worker")
+		}
+		if !strings.Contains(err.Error(), "no live workers") && !strings.Contains(err.Error(), CodeConfigMismatch) {
+			t.Errorf("error %q names neither the mismatch nor the empty ring", err)
+		}
 	}
-	if !strings.Contains(err.Error(), "no live workers") && !strings.Contains(err.Error(), CodeConfigMismatch) {
-		t.Errorf("error %q names neither the mismatch nor the empty ring", err)
+	execute()
+	for i := 0; i < 20; i++ {
+		if n := coord.RingSize(); n != 0 {
+			t.Fatalf("ring size = %d %v after config mismatch, want 0", n, time.Duration(i)*heartbeat)
+		}
+		time.Sleep(heartbeat)
 	}
-	if coord.RingSize() != 0 {
-		t.Errorf("ring size = %d after config mismatch, want 0", coord.RingSize())
+	execute()
+	dispatches := 0.0
+	for _, outcome := range []string{OutcomeOK, OutcomeError, OutcomeOrphaned, OutcomeVerifyFailed, OutcomeCanceled} {
+		dispatches += met.Dispatches.Value(w1.URL, outcome)
+	}
+	if dispatches != 1 {
+		t.Errorf("mismatched worker took %.0f dispatches, want 1", dispatches)
+	}
+}
+
+// TestFabricForgetOrphansOnlyItsMember holds one dispatch stalled on each of
+// two workers and forgets one worker: its dispatch is orphaned and settles
+// on the other worker, and the other worker's own dispatch, still held,
+// settles ok once released.
+func TestFabricForgetOrphansOnlyItsMember(t *testing.T) {
+	cfg := microCfg()
+	stallFirst := func(taken chan<- struct{}, release <-chan struct{}) func(http.HandlerFunc) http.HandlerFunc {
+		var stalled atomic.Bool
+		return func(next http.HandlerFunc) http.HandlerFunc {
+			return func(rw http.ResponseWriter, req *http.Request) {
+				if stalled.CompareAndSwap(false, true) {
+					taken <- struct{}{}
+					select {
+					case <-release:
+					case <-req.Context().Done():
+						return
+					}
+				}
+				next(rw, req)
+			}
+		}
+	}
+	taken1, taken2 := make(chan struct{}, 1), make(chan struct{}, 1)
+	release1, release2 := make(chan struct{}), make(chan struct{})
+	// A stalled handler has not read its body, so it does not see its
+	// client go away; release both before the servers close, or a failing
+	// run hangs in cleanup.
+	var once2 sync.Once
+	unstall2 := func() { once2.Do(func() { close(release2) }) }
+	defer close(release1)
+	defer unstall2()
+	w1, _ := testWorker(t, cfg, stallFirst(taken1, release1))
+	w2, _ := testWorker(t, cfg, stallFirst(taken2, release2))
+	coord, met := newCoordinator([]string{w1.URL, w2.URL}, nil)
+
+	// One planned cell owned by each worker.
+	spec := map[string]harness.CellSpec{}
+	for _, c := range microPlan() {
+		if o := owner(coord, c.CellKey()); spec[o] == (harness.CellSpec{}) {
+			spec[o] = c.CellSpec
+		}
+	}
+	if len(spec) != 2 {
+		t.Fatalf("plan placed cells on %d workers, want 2", len(spec))
+	}
+	type settled struct {
+		payload []byte
+		err     error
+	}
+	execute := func(worker string) <-chan settled {
+		ch := make(chan settled, 1)
+		go func() {
+			p, err := coord.Execute(context.Background(), spec[worker])
+			ch <- settled{p, err}
+		}()
+		return ch
+	}
+	got1, got2 := execute(w1.URL), execute(w2.URL)
+	<-taken1
+	<-taken2
+
+	coord.Forget(w1.URL)
+	var s1 settled
+	select {
+	case s1 = <-got1:
+	case <-time.After(time.Minute):
+		t.Fatal("forgotten worker's dispatch still held a minute after Forget")
+	}
+	if s1.err != nil || len(s1.payload) == 0 {
+		t.Fatalf("forgotten worker's cell: %d bytes, err %v; want it re-dispatched", len(s1.payload), s1.err)
+	}
+	if n := met.Dispatches.Value(w1.URL, OutcomeOrphaned); n != 1 {
+		t.Errorf("forgotten worker: %.0f orphaned dispatches, want 1", n)
+	}
+	if n := met.Dispatches.Value(w2.URL, OutcomeOK); n != 1 {
+		t.Errorf("other worker settled %.0f dispatches before its release, want 1 (the re-dispatch)", n)
+	}
+
+	unstall2()
+	s2 := <-got2
+	if s2.err != nil || len(s2.payload) == 0 {
+		t.Fatalf("other worker's cell: %d bytes, err %v", len(s2.payload), s2.err)
+	}
+	for _, outcome := range []string{OutcomeOrphaned, OutcomeCanceled, OutcomeError} {
+		if n := met.Dispatches.Value(w2.URL, outcome); n != 0 {
+			t.Errorf("other worker: %.0f %s dispatches, want 0", n, outcome)
+		}
+	}
+	if n := met.Dispatches.Value(w2.URL, OutcomeOK); n != 2 {
+		t.Errorf("other worker: %.0f ok dispatches, want 2", n)
 	}
 }
 

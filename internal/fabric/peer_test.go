@@ -25,7 +25,7 @@ import (
 var badWorkerURLs = []string{"", " http://x", "::", "not a url", "ftp://x", "http://", "http:///path", "//x:1", "x:1"}
 
 // ringMembers lists the ring's members in failover order.
-func ringMembers(c *Coordinator) []string { return c.ring.Replicas("probe", c.ring.Size()) }
+func ringMembers(c *Coordinator) []string { return replicas(c, "probe") }
 
 // postMember drives the join or leave handler in-process.
 func postMember(c *Coordinator, join bool, body []byte) *httptest.ResponseRecorder {
@@ -179,10 +179,12 @@ func FuzzMemberRequest(f *testing.F) {
 // TestWorkerRefusesUnplannedCells sends /fabric/v1/cell specs that no plan
 // of the worker's config contains: the out-of-range probes that once
 // panicked a worker or exhausted its memory, a valid CTE cache size that no
-// experiment sweeps, and a workload the simulator does not know. Each must
-// be a 400 bad_request before the runner sees it: no cell settles, so the
-// breaker the serving layer feeds from the settlement hook never moves. The
-// planned spec they were edited from is still served.
+// experiment sweeps, a workload the simulator does not know, and a planned
+// cell in a spelling other than the normal one a coordinator sends. Each
+// must be a 400 bad_request before the runner sees it: no cell settles, so
+// the breaker the serving layer feeds from the settlement hook never moves.
+// The planned spec they were edited from is still served. /fabric/v1/verify
+// refuses the same specs.
 func TestWorkerRefusesUnplannedCells(t *testing.T) {
 	cfg := microCfg()
 	hash := harness.ConfigHash(cfg)
@@ -195,16 +197,20 @@ func TestWorkerRefusesUnplannedCells(t *testing.T) {
 		brk.Report(c.Key, c.Err)
 	})
 	w := NewWorker(WorkerOptions{Runner: r, ConfigHash: hash, Schema: system.SchemaVersion})
-	post := func(spec harness.CellSpec) *httptest.ResponseRecorder {
+	post := func(path string, spec harness.CellSpec) *httptest.ResponseRecorder {
 		body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: hash, Schema: system.SchemaVersion})
 		if err != nil {
 			t.Fatal(err)
 		}
+		handle := w.handleCell
+		if path == VerifyPath {
+			handle = w.handleVerify
+		}
 		rec := httptest.NewRecorder()
-		w.handleCell(rec, httptest.NewRequest(http.MethodPost, CellPath, bytes.NewReader(body)))
+		handle(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 		return rec
 	}
-	planned := harness.CellSpec{Workload: "omnetpp", Design: "dylect", Setting: "high", HugePages: true}
+	planned := plannedCell("omnetpp/dylect/high")
 	for _, tc := range []struct {
 		name string
 		edit func(*harness.CellSpec)
@@ -217,13 +223,21 @@ func TestWorkerRefusesUnplannedCells(t *testing.T) {
 		{"group-size-2^40", func(s *harness.CellSpec) { s.GroupSize = 1 << 40 }},
 		{"cte-cache-12288", func(s *harness.CellSpec) { s.CTECacheBytes = 12288 }},
 		{"unknown-workload", func(s *harness.CellSpec) { s.Workload = "nosuch" }},
+		// The planned cell itself with the knobs normalization fills left
+		// zero: the worker would run and store it under the planned key but
+		// seal it under this spelling's.
+		{"zeroed-knobs", func(s *harness.CellSpec) {
+			s.CTECacheBytes, s.Granularity, s.GroupSize, s.SamplePeriod = 0, 0, 0, 0
+		}},
 	} {
 		spec := planned
 		tc.edit(&spec)
-		rec := post(spec)
-		var er serve.ErrorResponse
-		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Code != serve.CodeBadRequest {
-			t.Errorf("%s: status %d body %q, want 400 %s", tc.name, rec.Code, rec.Body, serve.CodeBadRequest)
+		for _, path := range []string{CellPath, VerifyPath} {
+			rec := post(path, spec)
+			var er serve.ErrorResponse
+			if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Code != serve.CodeBadRequest {
+				t.Errorf("%s %s: status %d body %q, want 400 %s", path, tc.name, rec.Code, rec.Body, serve.CodeBadRequest)
+			}
 		}
 	}
 	if n := settled.Load(); n != 0 {
@@ -232,8 +246,10 @@ func TestWorkerRefusesUnplannedCells(t *testing.T) {
 	if n := transitions.Load(); n != 0 {
 		t.Errorf("%d breaker transitions from refused cells", n)
 	}
-	if rec := post(planned); rec.Code != http.StatusOK {
-		t.Fatalf("planned spec: status %d body %q, want 200", rec.Code, rec.Body)
+	for _, path := range []string{CellPath, VerifyPath} {
+		if rec := post(path, planned); rec.Code != http.StatusOK {
+			t.Fatalf("%s planned spec: status %d body %q, want 200", path, rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -23,28 +24,38 @@ func workerURLs(n int) []string {
 	return urls
 }
 
+// replicas is key's failover order over c's ledger, as Execute places it.
+func replicas(c *Coordinator, key string) []string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.replicasLocked(key)
+}
+
+// owner is the member key is placed on first, or "" on an empty ring.
+func owner(c *Coordinator, key string) string {
+	if reps := replicas(c, key); len(reps) > 0 {
+		return reps[0]
+	}
+	return ""
+}
+
 // TestRingDeterministicPlacement proves placement is a pure function of the
-// member set: two rings built in different insertion orders agree on every
+// member set: two ledgers built in different insertion orders agree on every
 // owner and every failover list.
 func TestRingDeterministicPlacement(t *testing.T) {
 	workers := workerURLs(7)
-	a := NewRing()
-	for _, w := range workers {
-		a.Add(w)
-	}
-	b := NewRing()
+	a := New(Config{Workers: workers})
+	b := New(Config{})
 	for i := len(workers) - 1; i >= 0; i-- {
-		b.Add(workers[i])
+		b.admit(workers[i])
 	}
 	for _, k := range ringKeys(500) {
-		ao, _ := a.Owner(k)
-		bo, _ := b.Owner(k)
-		if ao != bo {
+		if ao, bo := owner(a, k), owner(b, k); ao != bo {
 			t.Fatalf("owner(%s): %s vs %s across insertion orders", k, ao, bo)
 		}
-		ar, br := a.Replicas(k, 3), b.Replicas(k, 3)
-		if len(ar) != 3 || len(br) != 3 {
-			t.Fatalf("replicas(%s): want 3, got %d and %d", k, len(ar), len(br))
+		ar, br := replicas(a, k), replicas(b, k)
+		if len(ar) != len(workers) || len(br) != len(workers) {
+			t.Fatalf("replicas(%s): want %d, got %d and %d", k, len(workers), len(ar), len(br))
 		}
 		for i := range ar {
 			if ar[i] != br[i] {
@@ -60,15 +71,11 @@ func TestRingDeterministicPlacement(t *testing.T) {
 func TestRingDistributionSkew(t *testing.T) {
 	keys := ringKeys(4000)
 	for n := 1; n <= 16; n++ {
-		r := NewRing()
-		workers := workerURLs(n)
-		for _, w := range workers {
-			r.Add(w)
-		}
+		c := New(Config{Workers: workerURLs(n)})
 		load := make(map[string]int, n)
 		for _, k := range keys {
-			o, ok := r.Owner(k)
-			if !ok {
+			o := owner(c, k)
+			if o == "" {
 				t.Fatalf("n=%d: no owner for %s", n, k)
 			}
 			load[o]++
@@ -77,10 +84,10 @@ func TestRingDistributionSkew(t *testing.T) {
 			t.Fatalf("n=%d: only %d workers received keys", n, len(load))
 		}
 		fair := float64(len(keys)) / float64(n)
-		for w, c := range load {
-			if got := float64(c); got > 2*fair || got < fair/2 {
+		for w, cnt := range load {
+			if got := float64(cnt); got > 2*fair || got < fair/2 {
 				t.Errorf("n=%d: worker %s owns %d keys (fair %.0f); skew exceeds [0.5, 2]x",
-					n, w, c, fair)
+					n, w, cnt, fair)
 			}
 		}
 	}
@@ -92,31 +99,27 @@ func TestRingDistributionSkew(t *testing.T) {
 func TestRingMinimalMovement(t *testing.T) {
 	keys := ringKeys(4000)
 	const n = 8
-	r := NewRing()
 	workers := workerURLs(n + 1)
-	for _, w := range workers[:n] {
-		r.Add(w)
-	}
+	c := New(Config{Workers: workers[:n]})
 	before := make(map[string]string, len(keys))
 	for _, k := range keys {
-		before[k], _ = r.Owner(k)
+		before[k] = owner(c, k)
 	}
 
 	newcomer := workers[n]
-	r.Add(newcomer)
+	c.admit(newcomer)
 	moved := 0
 	for _, k := range keys {
-		o, _ := r.Owner(k)
-		if o != before[k] {
+		if o := owner(c, k); o != before[k] {
 			moved++
 			if o != newcomer {
 				t.Fatalf("join: key %s moved %s -> %s, not to the newcomer", k, before[k], o)
 			}
 		}
 	}
-	// Fair share is K/(N+1); virtual-node granularity wobbles around it, so
-	// allow 2x before calling the movement non-minimal (naive mod-N hashing
-	// would move ~N/(N+1) of the keys, an order of magnitude more).
+	// Fair share is K/(N+1); hashing wobbles around it, so allow 2x before
+	// calling the movement non-minimal (naive mod-N hashing would move
+	// ~N/(N+1) of the keys, an order of magnitude more).
 	if limit := 2 * len(keys) / (n + 1); moved > limit {
 		t.Errorf("join moved %d/%d keys; want <= %d", moved, len(keys), limit)
 	}
@@ -126,11 +129,11 @@ func TestRingMinimalMovement(t *testing.T) {
 
 	after := make(map[string]string, len(keys))
 	for _, k := range keys {
-		after[k], _ = r.Owner(k)
+		after[k] = owner(c, k)
 	}
-	r.Remove(newcomer)
+	c.Forget(newcomer)
 	for _, k := range keys {
-		o, _ := r.Owner(k)
+		o := owner(c, k)
 		if after[k] == newcomer {
 			if o == newcomer {
 				t.Fatalf("leave: key %s still owned by removed worker", k)
@@ -144,20 +147,20 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-// TestRingReplicas covers the failover list edges: distinct members, bounded
-// by membership, empty on an empty ring.
+// TestRingReplicas covers the failover list edges: distinct members, all of
+// the ring's, none on an empty ring, none dropped from the ring.
 func TestRingReplicas(t *testing.T) {
-	r := NewRing()
-	if got := r.Replicas("x", 3); got != nil {
+	c := New(Config{})
+	if got := replicas(c, "x"); len(got) != 0 {
 		t.Fatalf("empty ring: got %v", got)
 	}
-	if _, ok := r.Owner("x"); ok {
-		t.Fatal("empty ring reported an owner")
+	if o := owner(c, "x"); o != "" {
+		t.Fatalf("empty ring reported owner %s", o)
 	}
 	for _, w := range workerURLs(3) {
-		r.Add(w)
+		c.admit(w)
 	}
-	reps := r.Replicas("omnetpp/tmcc/high", 10)
+	reps := replicas(c, "omnetpp/tmcc/high")
 	if len(reps) != 3 {
 		t.Fatalf("want all 3 members, got %v", reps)
 	}
@@ -169,9 +172,16 @@ func TestRingReplicas(t *testing.T) {
 		seen[m] = true
 	}
 	// Idempotent membership ops.
-	r.Add(reps[0])
-	r.Remove("http://nonexistent:1")
-	if r.Size() != 3 {
-		t.Fatalf("size after idempotent ops: %d", r.Size())
+	c.admit(reps[0])
+	c.Forget("http://nonexistent:1")
+	if c.RingSize() != 3 {
+		t.Fatalf("size after idempotent ops: %d", c.RingSize())
+	}
+	// A dropped member leaves the order and the rest keep theirs.
+	c.mu.Lock()
+	c.dropLocked(reps[0], "test")
+	c.mu.Unlock()
+	if got := replicas(c, "omnetpp/tmcc/high"); !slices.Equal(got, reps[1:]) {
+		t.Fatalf("after dropping %s: order %v, want %v", reps[0], got, reps[1:])
 	}
 }

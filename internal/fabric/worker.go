@@ -120,16 +120,12 @@ func (w *Worker) handleCell(rw http.ResponseWriter, req *http.Request) {
 				cr.ConfigHash, cr.Schema, w.opts.ConfigHash, w.opts.Schema), 0)
 		return
 	}
+	if !w.admitted(rw, cr.Spec) {
+		return
+	}
 	key, err := harness.PayloadKey(w.opts.ConfigHash, cr.Spec)
 	if err != nil {
 		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, err.Error(), 0)
-		return
-	}
-	// A cell no plan of this config contains is refused before the runner
-	// sees it: it would simulate, and stay memoized, for no coordinator.
-	if !w.opts.Runner.Admits(cr.Spec) {
-		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest,
-			fmt.Sprintf("cell %q is in no plan of this worker's config", cr.Spec.CellKey()), 0)
 		return
 	}
 
@@ -169,6 +165,9 @@ func (w *Worker) handleVerify(rw http.ResponseWriter, req *http.Request) {
 		serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest, "bad verify request: "+err.Error(), 0)
 		return
 	}
+	if !w.admitted(rw, cr.Spec) {
+		return
+	}
 	ok := false
 	if w.opts.Checkpoint != nil {
 		// Get re-verifies the record end to end and quarantines a damaged
@@ -178,6 +177,19 @@ func (w *Worker) handleVerify(rw http.ResponseWriter, req *http.Request) {
 	w.log.Warn("fabric verify requested", "cell", cr.Spec.CellKey(), "verified", ok)
 	rw.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(rw).Encode(map[string]bool{"verified": ok})
+}
+
+// admitted answers 400 bad_request, and reports false, for a spec outside
+// the worker's admissible domain (harness.Runner.Admits), before the runner
+// or the store sees it: such a cell would simulate, and stay memoized, for
+// no coordinator, and its spelling would name no record's store key.
+func (w *Worker) admitted(rw http.ResponseWriter, spec harness.CellSpec) bool {
+	if w.opts.Runner.Admits(spec) {
+		return true
+	}
+	serve.WriteError(rw, http.StatusBadRequest, serve.CodeBadRequest,
+		fmt.Sprintf("cell %q is in no plan of this worker's config", spec.CellKey()), 0)
+	return false
 }
 
 // decodeBody decodes a peer's JSON request body into v, reading at most

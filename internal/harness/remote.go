@@ -109,17 +109,17 @@ func (r *Runner) ExecuteCell(ctx context.Context, spec CellSpec) ([]byte, error)
 	return encodeCellPayload(res, obs)
 }
 
-// Admits reports whether a worker should run spec: the spec passes the
-// check ExecuteCell makes, and its normalized form is a cell that some plan
-// of the runner's config contains (admissible). A worker refuses any other
-// spec before the runner sees it, so a peer cannot make it simulate, and
-// memoize for good, cells that no coordinator would send.
+// Admits reports whether a worker should run spec: spec is, as sent, a
+// cell that some plan of the runner's config contains (admissible). Planned
+// cells are normalized, so an admitted spec is in normal form and names the
+// record's store key (PayloadKey, Checkpoint.ReverifyCell); another
+// spelling of the same cell is refused, as a coordinator never sends one. A
+// worker refuses any other spec before the runner sees it, so a peer cannot
+// make it simulate, and memoize for good, cells that no coordinator would
+// send.
 func (r *Runner) Admits(spec CellSpec) bool {
-	if spec.check() != nil {
-		return false
-	}
 	r.domain.once.Do(func() { r.domain.cells = admissible(r.Cfg) })
-	return r.domain.cells[r.normalize(spec)]
+	return r.domain.cells[spec]
 }
 
 // admissible is the union, over every known workload w, of the cells the

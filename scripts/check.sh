@@ -19,8 +19,10 @@
 #            waiting, the live fallback when every image slot is taken,
 #            recordings side by side at jobs 8) at -count=20, the fabric
 #            failure paths (a hedged straggler, orphan re-dispatch, a
-#            verify failure re-dispatched) and 16 concurrent memo-hit
-#            dispatches of one cell at -count=20, then the
+#            verify failure re-dispatched, a forgotten worker orphaning
+#            only its own dispatch, a config-mismatched worker staying out
+#            across heartbeats) and 16 concurrent memo-hit dispatches of
+#            one cell at -count=20, then the
 #            pre-canceled CLI drain report at -count=200, which must be
 #            byte-stable, and the served drain with the listener failed
 #            and the context canceled at once at -count=200, which must
@@ -50,12 +52,13 @@
 #            restarts, require quarantine + byte-identical recovery
 #            (scripts/store_crash.sh; STORE_DIR keeps the artifacts)
 #   fabric   distributed sweep fabric gate: race-mode unit tests for
-#            internal/fabric (ring, dispatch, hedging, membership), the
+#            internal/fabric (placement, dispatch, hedging, membership), the
 #            remote-execution harness tests, and the CLI cluster round
 #            trip, then the out-of-process chaos soak — coordinator plus
 #            three workers with hang scripts, SIGKILL one mid-lease,
 #            require orphan re-dispatch, fired hedges, a byte-identical
-#            merge, clean drains, and a store-sourced warm restart
+#            merge, bad peer requests and cell specs refused with no
+#            breaker moved, clean drains, and a store-sourced warm restart
 #            (scripts/fabric_chaos.sh; FABRIC_DIR keeps the artifacts)
 #   dybench  the benchmark module: dybench/ is its own Go module, so
 #            `go build ./...` and `go test ./...` skip it; this runs go vet
@@ -157,7 +160,7 @@ if want stress; then
 		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive)|TestWaitSettled' \
 		./internal/harness
 	go test -race -count=20 -run \
-		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricMemoHitBytes' \
+		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricForgetOrphansOnlyItsMember|TestFabricConfigMismatchEvicts|TestFabricMemoHitBytes' \
 		./internal/fabric
 	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
 	go test -race -count=200 -run 'TestServeCancelWinsOverServeError' ./cmd/dylect-served

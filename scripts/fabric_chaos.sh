@@ -33,7 +33,14 @@
 #      drain cleanly on SIGTERM.
 #   4. Bad peers: a join announcing "::" to the coordinator and a 2 MiB
 #      /fabric/v1/cell body to worker2 must each be answered 4xx, and the
-#      ring size in the scrape must not move.
+#      ring size in the scrape must not move. Then nine cell specs no
+#      coordinator sends, each pinned with the config hash and schema of
+#      the coordinator store's manifest.json, go to worker2's
+#      /fabric/v1/cell: the refused specs of TestWorkerRefusesUnplannedCells
+#      (out-of-range knobs, an unplanned CTE size, an unknown workload) and
+#      a planned cell spelled with its knobs zeroed. Each must be a 400, and
+#      worker2's dylect_cell_failures_total and
+#      dylect_breaker_transitions_total samples must not move.
 #   5. Warm restart: a fresh coordinator on the same store with an EMPTY
 #      ring re-runs the sweep. It must settle entirely store-sourced —
 #      byte-identical again, no fresh simulations, no remote dispatches.
@@ -199,6 +206,46 @@ before=$(ring_workers "$dir/metrics-bad-before.txt")
 after=$(ring_workers "$dir/metrics-bad-after.txt")
 if [ -z "$before" ] || [ "$before" != "$after" ]; then
 	echo "ring size moved across the bad peer requests: '$before' -> '$after'" >&2
+	exit 1
+fi
+
+echo "== bad peers: cell specs outside the admissible domain must be 400s"
+manifest="$dir/store/manifest.json"
+hash=$(sed -n 's/^  "configHash": "\(.*\)",*$/\1/p' "$manifest")
+schema=$(sed -n 's/^  "schemaVersion": "\(.*\)",*$/\1/p' "$manifest")
+if [ -z "$hash" ] || [ -z "$schema" ]; then
+	echo "$manifest: no config hash or schema" >&2
+	exit 1
+fi
+# cell_spec GRAN CTE GROUP PERIOD [WORKLOAD] prints a dylect/high huge-page
+# spec. The planned one at this config is 4096 4096 3 20 omnetpp.
+cell_spec() {
+	printf '{"workload":"%s","design":"dylect","setting":"high","hugePages":true,"cteCacheBytes":%s,"granularity":%s,"groupSize":%s,"samplePeriod":%s}' \
+		"${5:-omnetpp}" "$2" "$1" "$3" "$4"
+}
+# breaker_samples FILE prints a scrape's cell failure and breaker samples.
+breaker_samples() {
+	grep -E '^dylect_(cell_failures|breaker_transitions)_total' "$1" || true
+}
+"$bin" top -addr "http://$w2_addr" -raw >"$dir/metrics-w2-before.txt"
+n=0
+for spec in "$(cell_spec 3 4096 3 20)" "$(cell_spec $((1 << 40)) 4096 3 20)" \
+	"$(cell_spec 4096 -64 3 20)" "$(cell_spec 4096 100 3 20)" \
+	"$(cell_spec 4096 $((1 << 40)) 3 20)" "$(cell_spec 4096 4096 $((1 << 40)) 20)" \
+	"$(cell_spec 4096 12288 3 20)" "$(cell_spec 4096 4096 3 20 nosuch)" \
+	"$(cell_spec 0 0 0 0)"; do
+	n=$((n + 1))
+	printf '{"spec":%s,"configHash":"%s","schema":"%s"}' "$spec" "$hash" "$schema" >"$dir/spec-$n.json"
+	code=$(post_status "http://$w2_addr/fabric/v1/cell" "$dir/spec-$n.json")
+	if [ "$code" != 400 ]; then
+		echo "worker2 answered $code to $spec, want 400" >&2
+		exit 1
+	fi
+done
+"$bin" top -addr "http://$w2_addr" -raw >"$dir/metrics-w2-after.txt"
+if [ "$(breaker_samples "$dir/metrics-w2-before.txt")" != "$(breaker_samples "$dir/metrics-w2-after.txt")" ]; then
+	echo "worker2's cell failures or breaker transitions moved across the refused specs:" >&2
+	diff "$dir/metrics-w2-before.txt" "$dir/metrics-w2-after.txt" >&2 || true
 	exit 1
 fi
 
