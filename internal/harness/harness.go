@@ -265,9 +265,12 @@ type runnerState struct {
 	// it. Local simulation never runs while it is set.
 	remote RemoteExecutor
 
-	// warm shares each planned warm key's functional warmup across its
-	// cells (warmshare.go).
-	warm warmShare
+	// images counts the warm-key groups holding an image slot (runGroup),
+	// at most one per worker slot.
+	images int
+	// onImage, when set, sees each group's image as it arrives; tests use
+	// it to follow the images' lifetime.
+	onImage func(*system.WarmImage)
 
 	// domain is the admissible cell set (Admits), built on first use.
 	domain struct {
@@ -291,10 +294,7 @@ func NewRunner(cfg Config) *Runner {
 	if cfg.Window == 0 {
 		cfg.Window = 150 * engine.Microsecond
 	}
-	r := &Runner{Cfg: cfg, runnerState: &runnerState{
-		cache: make(map[CellSpec]*flight),
-		warm:  warmShare{leases: make(map[CellSpec]*warmLease)},
-	}}
+	r := &Runner{Cfg: cfg, runnerState: &runnerState{cache: make(map[CellSpec]*flight)}}
 	r.SetJobs(1)
 	return r
 }
@@ -537,35 +537,49 @@ func (r *Runner) resultObs(key CellSpec) (*system.Result, *metrics.Data, error) 
 		f := &flight{done: make(chan struct{}), ctx: ctx}
 		r.cache[key] = f
 		r.mu.Unlock()
-		r.runCell(ctx, key, f)
+		r.runCell(ctx, key, f, warmup{})
 		return f.res, f.obs, f.err
 	}
 }
 
+// waitSettled waits for done, or for ctx; when both are ready, done wins.
+func waitSettled(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		select {
+		case <-done:
+			return nil
+		default:
+			return ctx.Err()
+		}
+	}
+}
+
 // runCell executes one cell: checkpoint restore, graceful-drain gate, worker
-// slot, then watchdogged attempts with transient-failure retry. Panics are
-// captured (with stack) so a failing cell reports its key instead of
-// crashing the process. ctx is the starter's context: it gates the start,
-// the retry backoff, and (with the watchdog) attempt abandonment.
+// slot, then watchdogged attempts with transient-failure retry, each warming
+// up as w says. Panics are captured (with stack) so a failing cell reports
+// its key instead of crashing the process. ctx is the starter's context: it
+// gates the start, the retry backoff, and (with the watchdog) attempt
+// abandonment.
 //
 //dylect:nondet-ok the watchdog goroutine, the retry backoff and the wall-clock settlement record are scheduling, not simulation; the cell itself is reached from system.RunE and the warmup roots
-func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight) {
+func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight, w warmup) {
 	defer close(f.done)
 	// Wall time and peak RSS are profiling data, kept strictly outside the
 	// deterministic exports (ExportJSON never reads them).
 	start := time.Now()
-	// Settlement bookkeeping: complete the cell's record, drop its warm
-	// lease, evict canceled (and, in service mode, failed) cells so a later
-	// request re-attempts them, and notify the settlement hook. One defer,
-	// not several: the record must be complete before the hook runs, the
-	// lease must go before the eviction lets a new flight of the key start,
-	// and stacked defers would execute in the wrong (LIFO) order. Runs after
-	// the recover below finalizes f.err, before waiters wake.
+	// Settlement bookkeeping: complete the cell's record, evict canceled
+	// (and, in service mode, failed) cells so a later request re-attempts
+	// them, and notify the settlement hook. One defer, not several: the
+	// record must be complete before the hook runs, and stacked defers would
+	// execute in the wrong (LIFO) order. Runs after the recover below
+	// finalizes f.err, before waiters wake.
 	defer func() {
 		f.report.WallNS = time.Since(start).Nanoseconds()
 		f.report.PeakRSSKB = peakRSSKB()
 		r.mu.Lock()
-		r.warmSettle(key)
 		evict := f.err != nil && (r.evictFailed || errors.Is(f.err, ErrCanceled))
 		if evict && r.cache[key] == f {
 			delete(r.cache, key)
@@ -603,35 +617,19 @@ func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight) {
 
 	// Graceful drain: once the context is canceled no new cell starts —
 	// not even one already queued on the semaphore — but cells that made it
-	// into a worker slot run to completion and checkpoint. The gate is
-	// checked before and after the wait for a shared warmup image, which
-	// holds no worker slot.
-	drained := func() bool {
-		select {
-		case <-ctx.Done():
-			f.err = withCode(ErrCanceled,
-				fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), ctx.Err()))
-			return true
-		default:
-			return false
-		}
+	// into a worker slot run to completion and checkpoint.
+	notStarted := func() {
+		f.err = withCode(ErrCanceled,
+			fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), ctx.Err()))
 	}
-	if drained() {
-		return
-	}
-	lease, err := r.warmAcquire(ctx, key)
-	if err != nil {
-		f.err = err
-		return
-	}
-	if drained() {
+	if ctx.Err() != nil {
+		notStarted()
 		return
 	}
 	select {
 	case sem <- struct{}{}:
 	case <-ctx.Done():
-		f.err = withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), ctx.Err()))
+		notStarted()
 		return
 	}
 	// Released when runCell returns — including when the watchdog abandons
@@ -658,7 +656,7 @@ func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight) {
 
 	var o outcome
 	for attempt := 1; ; attempt++ {
-		o = r.attemptCell(attemptCtx, key, timeout, lease)
+		o = r.attemptCell(attemptCtx, key, timeout, w)
 		f.report.Source = o.source
 		if o.err == nil {
 			break
@@ -716,7 +714,7 @@ type outcome struct {
 // buffered channel and is discarded. The starter's context composes with
 // the watchdog: whichever fires first abandons the attempt, so a request
 // deadline bounds cell execution even without -cell-timeout.
-func (r *Runner) attemptCell(ctx context.Context, key CellSpec, timeout time.Duration, lease *warmLease) outcome {
+func (r *Runner) attemptCell(ctx context.Context, key CellSpec, timeout time.Duration, w warmup) outcome {
 	r.mu.Lock()
 	hook := r.cellHook
 	r.mu.Unlock()
@@ -735,7 +733,7 @@ func (r *Runner) attemptCell(ctx context.Context, key CellSpec, timeout time.Dur
 				return
 			}
 		}
-		o := r.simulate(key, lease)
+		o := r.simulate(key, w)
 		if o.err != nil {
 			o.err = fmt.Errorf("harness: cell %s: %w", key.CellKey(), o.err)
 		}
@@ -802,11 +800,11 @@ func (r *Runner) options(key CellSpec) (system.Options, error) {
 }
 
 // simulate performs the actual system run for a cell, returning the
-// recorded observability data when the config enables metrics. The cell's
-// warm lease (nil for none) selects how it warms up, which the outcome's
-// source reports: restoring its group's image, recording the image for the
-// group, or live.
-func (r *Runner) simulate(key CellSpec, lease *warmLease) outcome {
+// recorded observability data when the config enables metrics. w selects how
+// it warms up, which the outcome's source reports: restoring its group's
+// image, recording the image and sending it to the group before its own
+// window, or live.
+func (r *Runner) simulate(key CellSpec, w warmup) outcome {
 	opts, err := r.options(key)
 	if err != nil {
 		return outcome{err: err}
@@ -825,17 +823,19 @@ func (r *Runner) simulate(key CellSpec, lease *warmLease) outcome {
 		return outcome{err: err}
 	}
 	var o outcome
-	switch img, record := r.warmTake(lease); {
-	case img != nil:
+	switch {
+	case w.img != nil:
 		o.source = SourceRestore
-		if err := m.Restore(img); err != nil {
+		if err := m.Restore(w.img); err != nil {
 			o.err = err
 			return o
 		}
-		r.warmRestored(lease)
-	case record:
+	case w.rec != nil:
 		o.source = SourceRecord
-		r.warmPublish(lease, m.WarmupRecorded())
+		select {
+		case w.rec <- m.WarmupRecorded():
+		default: // an earlier attempt's image was sent first
+		}
 	default:
 		o.source = SourceLive
 		m.Warmup()

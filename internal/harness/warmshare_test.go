@@ -5,12 +5,14 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dylect/internal/engine"
+	"dylect/internal/faults"
 	"dylect/internal/system"
 )
 
@@ -70,13 +72,14 @@ func warmCounts(c *sourceCounts) (recorded, restored int) {
 	return c.n[SourceRecord], c.n[SourceRestore]
 }
 
-// checkNoLiveImage fails if the runner still holds a warm image or lease.
+// checkNoLiveImage fails if a group still holds one of the runner's image
+// slots.
 func checkNoLiveImage(t *testing.T, r *Runner) {
 	t.Helper()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.warm.images != 0 || len(r.warm.leases) != 0 {
-		t.Fatalf("runner still holds warm state after the run: %d image slots, %d leases", r.warm.images, len(r.warm.leases))
+	if r.images != 0 {
+		t.Fatalf("runner still holds %d image slots after the run", r.images)
 	}
 }
 
@@ -201,8 +204,8 @@ func TestSharedWarmupRecordsSideBySide(t *testing.T) {
 	var entered atomic.Int32
 	all := make(chan struct{})
 	r.SetCellHook(func(string) error {
-		// The first cells to run are the recorders: their group-mates wait
-		// for the images holding no worker slot.
+		// The first cells to run are the recorders: their group-mates start
+		// only once the images exist.
 		if entered.Add(1) == groups {
 			close(all)
 		}
@@ -230,23 +233,13 @@ func TestSharedWarmupImagesAreReleased(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	r := NewRunner(tinySharedConfig("omnetpp", "bfs"))
-	var seen sync.Map
 	var frozen, collected atomic.Int32
-	// The settlement hook runs outside the runner's lock, so it may take it
-	// to read the registry: arm a finalizer on each live image without
-	// keeping it.
-	r.SetCellTelemetry(func(CellSettlement) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		for _, l := range r.warm.leases {
-			if img := l.g.img; img != nil {
-				if _, dup := seen.LoadOrStore(reflect.ValueOf(img).Pointer(), true); !dup {
-					frozen.Add(1)
-					runtime.SetFinalizer(img, func(*system.WarmImage) { collected.Add(1) })
-				}
-			}
-		}
-	})
+	// Arm a finalizer on each group's image as it arrives, without keeping
+	// it.
+	r.onImage = func(img *system.WarmImage) {
+		frozen.Add(1)
+		runtime.SetFinalizer(img, func(*system.WarmImage) { collected.Add(1) })
+	}
 	if _, err := RunExperiments(r, experimentsNamed(t, "fig17", "fig18"), ExecOptions{Jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -309,22 +302,19 @@ func TestSharedWarmupStoreHitsReleaseClaims(t *testing.T) {
 	checkMatchesLive(t, r, hits...)
 }
 
-// TestSharedWarmupRecorderPanic: the recording cell panics while the rest of
-// its group waits for the image. Only that cell fails, with ErrCellPanic;
-// a waiter records again and the others restore, all matching live RunE.
+// TestSharedWarmupRecorderPanic: the recording cell panics before the rest
+// of its group has started. Only that cell fails, with ErrCellPanic; the
+// next member records and the others restore, all matching live RunE.
 func TestSharedWarmupRecorderPanic(t *testing.T) {
 	r := NewRunner(tinySharedConfig("omnetpp"))
 	src := countSources(r)
 	var calls atomic.Int32
 	var victim atomic.Value
 	r.SetCellHook(func(key string) error {
-		// The first hook call is the recorder's: the other members are
-		// waiting for its image and hold no worker slot.
+		// The first hook call is the recorder's: the other members start
+		// only once an image exists.
 		if calls.Add(1) == 1 {
 			victim.Store(key)
-			// Give the waiters time to queue; the assertions below hold
-			// whether or not they have.
-			time.Sleep(20 * time.Millisecond)
 			panic("injected recorder panic")
 		}
 		return nil
@@ -358,9 +348,9 @@ func TestSharedWarmupRecorderPanic(t *testing.T) {
 }
 
 // TestSharedWarmupCancelWhileWaiting: the context is canceled while the
-// recorder runs and its group waits for the image. The waiters settle as
-// not started, the recorder (already holding a worker slot) drains to
-// completion, and no image outlives the run.
+// recorder runs and the rest of its group waits for the image. The rest
+// settle as not started, the recorder (already holding a worker slot)
+// drains to completion, and no image outlives the run.
 func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 	r := NewRunner(tinySharedConfig("omnetpp"))
 	ctx, cancel := context.WithCancel(context.Background())
@@ -388,7 +378,7 @@ func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 	}
 	r.mu.Unlock()
 	checkNoLiveImage(t, r)
-	// The canceled waiters were evicted; a later run completes the group.
+	// The canceled members were evicted; a later run completes the group.
 	r.SetContext(context.Background())
 	if _, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 4}); err != nil {
 		t.Fatal(err)
@@ -398,29 +388,35 @@ func TestSharedWarmupCancelWhileWaiting(t *testing.T) {
 }
 
 // TestSharedWarmupSecondImageFallsBackLive: at jobs 2 the Runner keeps two
-// images. While one request's two recordings hold both, a second request
-// whose cells would need a third image decides to warm them up live, before
-// either image is published, instead of waiting for one.
+// images. While one request's two groups hold both, a second request whose
+// cells would need a third image warms them up live, and finishes, instead
+// of waiting for one. The first request's recorders hold their groups (and
+// slots) by blocking in the settlement hook, which runs after a cell has
+// given its worker slot back, so the second request's cells can run.
 func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
 	r := NewRunner(tinySharedConfig("omnetpp", "bfs"))
 	r.SetJobs(2)
-	src := countSources(r)
 	holding, release := make(chan struct{}), make(chan struct{})
-	var entered atomic.Int32
-	r.SetCellHook(func(key string) error {
-		// The first two cells in worker slots are the first request's
-		// recorders, one per workload: their group-mates wait for the
-		// images holding no slot. Both keep their group's image slot.
-		if n := entered.Add(1); n <= 2 {
-			if n == 2 {
+	var recorders atomic.Int32
+	var mu sync.Mutex
+	sources := map[string]map[string]int{} // workload -> Source -> cells
+	r.SetCellTelemetry(func(s CellSettlement) {
+		wl, _, _ := strings.Cut(s.Key, "/")
+		mu.Lock()
+		if sources[wl] == nil {
+			sources[wl] = map[string]int{}
+		}
+		sources[wl][s.Source]++
+		mu.Unlock()
+		if s.Source == SourceRecord {
+			if recorders.Add(1) == 2 {
 				close(holding)
 			}
 			<-release
 		}
-		return nil
 	})
 	var once sync.Once
 	unblock := func() { once.Do(func() { close(release) }) }
@@ -430,45 +426,30 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	select {
 	case <-holding:
 	case <-time.After(10 * time.Second):
-		t.Fatal("the first request's two recordings did not start side by side")
+		t.Fatal("the first request's two recordings did not both settle")
 	}
 	second := r.WithContext(context.Background())
 	second.Cfg.Workloads = []string{"canneal"}
 	secondOut := make(chan []ExperimentOutput, 1)
 	go func() { secondOut <- RunShared(second, experimentsNamed(t, "fig18")) }()
-	// Every canneal cell has left its group (chosen live warmup) while both
-	// recorders still hold their image slots.
-	decided := func() bool {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		n := 0
-		for k, l := range r.warm.leases {
-			if k.Workload == "canneal" {
-				if l.member {
-					return false
-				}
-				n++
+	select {
+	case outs := <-secondOut:
+		for _, out := range outs {
+			if out.Err != nil {
+				t.Fatal(out.Err)
 			}
 		}
-		return n > 0
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second request waited for an image slot held by the first")
 	}
-	for deadline := time.Now().Add(10 * time.Second); !decided(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("second request's cells did not choose live warmup while every image slot was held")
-		}
-	}
-	// No cell has settled from an image, and no group holds one.
-	published := false
-	r.mu.Lock()
-	for _, l := range r.warm.leases {
-		published = published || l.g.img != nil
-	}
-	r.mu.Unlock()
-	if recorded, restored := warmCounts(src); recorded != 0 || restored != 0 || published {
-		t.Fatalf("an image was published while both recorders were held: %d recorded, %d restored, image held %t", recorded, restored, published)
+	mu.Lock()
+	canneal := sources["canneal"]
+	mu.Unlock()
+	if len(canneal) != 1 || canneal[SourceLive] == 0 {
+		t.Fatalf("second request's cells settled %v, want every one live", canneal)
 	}
 	unblock()
-	for _, out := range append(<-first, <-secondOut...) {
+	for _, out := range <-first {
 		if out.Err != nil {
 			t.Fatal(out.Err)
 		}
@@ -482,9 +463,88 @@ func TestSharedWarmupSecondImageFallsBackLive(t *testing.T) {
 	}
 	r.mu.Unlock()
 	// The first request's two groups each recorded once and restored every
-	// other member; the canneal cells neither recorded nor restored.
-	if recorded, restored := warmCounts(src); recorded != 2 || restored != firstCells-2 {
-		t.Fatalf("%d recorded and %d restored, want 2 and %d (none for the second request)", recorded, restored, firstCells-2)
+	// other member.
+	mu.Lock()
+	recorded := sources["omnetpp"][SourceRecord] + sources["bfs"][SourceRecord]
+	restored := sources["omnetpp"][SourceRestore] + sources["bfs"][SourceRestore]
+	mu.Unlock()
+	if recorded != 2 || restored != firstCells-2 {
+		t.Fatalf("first request: %d recorded and %d restored, want 2 and %d", recorded, restored, firstCells-2)
+	}
+	checkNoLiveImage(t, r)
+	checkMatchesLive(t, r)
+}
+
+// TestSharedWarmupRetriesKeepOneRecording: every cell of a group fails its
+// first attempt with a transient error and succeeds on retry. The retries
+// keep their warmup mode, so the group still records once and restores
+// every other member, all matching live RunE.
+func TestSharedWarmupRetriesKeepOneRecording(t *testing.T) {
+	r := NewRunner(tinySharedConfig("omnetpp"))
+	src := countSources(r)
+	ci := faults.NewCellInjector()
+	ci.Script("omnetpp/", faults.CellSpec{Kind: faults.CellTransient, Fail: 1})
+	r.SetCellHook(ci.Hook)
+	r.SetRetries(1, time.Millisecond)
+	if _, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 2}); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.Lock()
+	n := len(r.cache)
+	r.mu.Unlock()
+	if got := ci.Attempts("omnetpp/"); got != 2*n {
+		t.Fatalf("%d attempts over %d cells, want two each", got, n)
+	}
+	if recorded, restored := warmCounts(src); recorded != 1 || restored != n-1 {
+		t.Errorf("%d recorded, %d restored; want 1 and %d", recorded, restored, n-1)
+	}
+	checkNoLiveImage(t, r)
+	checkMatchesLive(t, r)
+}
+
+// TestSharedWarmupAbandonedRecorderHandsOn: the recorder's attempt hangs
+// until the watchdog abandons it. Only that cell fails, with
+// ErrCellTimeout; the next member records and the rest restore, all
+// matching live RunE.
+func TestSharedWarmupAbandonedRecorderHandsOn(t *testing.T) {
+	r := NewRunner(tinySharedConfig("omnetpp"))
+	src := countSources(r)
+	hung := make(chan struct{})
+	t.Cleanup(func() { close(hung) })
+	var calls atomic.Int32
+	var victim atomic.Value
+	r.SetCellHook(func(key string) error {
+		if calls.Add(1) == 1 {
+			victim.Store(key)
+			<-hung
+			return errors.New("abandoned attempt released")
+		}
+		return nil
+	})
+	r.SetCellTimeout(300 * time.Millisecond)
+	_, err := RunExperiments(r, experimentsNamed(t, "fig18"), ExecOptions{Jobs: 2})
+	if !errors.Is(err, ErrCellTimeout) {
+		t.Fatalf("want the abandoned recorder to fail fig18 with ErrCellTimeout, got %v", err)
+	}
+	key, _ := victim.Load().(string)
+	failed := 0
+	r.mu.Lock()
+	for k, f := range r.cache {
+		if f.err == nil {
+			continue
+		}
+		failed++
+		if k.CellKey() != key || !errors.Is(f.err, ErrCellTimeout) {
+			t.Errorf("cell %s failed (%v); only the abandoned recorder %s may", k.CellKey(), f.err, key)
+		}
+	}
+	n := len(r.cache)
+	r.mu.Unlock()
+	if failed != 1 {
+		t.Fatalf("%d cells failed, want exactly the recorder", failed)
+	}
+	if recorded, restored := warmCounts(src); recorded != 1 || restored != n-2 {
+		t.Errorf("%d recorded, %d restored; want 1 re-recording and %d restores", recorded, restored, n-2)
 	}
 	checkNoLiveImage(t, r)
 	checkMatchesLive(t, r)

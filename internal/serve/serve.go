@@ -395,11 +395,13 @@ func (s *Server) runRequest(w http.ResponseWriter, r *http.Request, tr *telemetr
 	// The request deadline covers queueing and execution; it propagates
 	// into cell starts and waits through the runner view. A drain
 	// past its grace period force-cancels it via s.force.
+	// The clamp compares milliseconds: a large timeoutMS overflows the
+	// Duration product.
 	timeout := s.opts.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.opts.MaxTimeout {
-			timeout = s.opts.MaxTimeout
+		timeout = s.opts.MaxTimeout
+		if req.TimeoutMS <= s.opts.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)

@@ -15,9 +15,11 @@
 #   stress   the harness failure paths repeated under the race detector:
 #            cancel, watchdog timeout, retry, single-flight and the
 #            shared-warmup concurrency tests (many cells restoring one
-#            image, a recorder panicking with waiters queued, a cancel while
-#            waiting, the live fallback when every image slot is taken,
-#            recordings side by side at jobs 8) at -count=20, the fabric
+#            image, a recorder panicking or abandoned by the watchdog
+#            before its group starts, transient retries inside a group, a
+#            cancel while the group waits for its image, the live fallback
+#            when every image slot is taken, recordings side by side at
+#            jobs 8) at -count=20, the fabric
 #            failure paths (a hedged straggler, orphan re-dispatch, a
 #            verify failure re-dispatched, a forgotten worker orphaning
 #            only its own dispatch, a config-mismatched worker staying out
@@ -72,7 +74,8 @@
 #            the cell-store envelope decoder and payload checksum in
 #            ./internal/cellstore, the Retry-After advice parser in
 #            ./internal/retry, the worker's CellSpec decode chain in
-#            ./internal/harness, the fabric's join/leave and cell request
+#            ./internal/harness, the service's /v1/run request handler in
+#            ./internal/serve, the fabric's join/leave and cell request
 #            handlers in ./internal/fabric, and request-ID sanitizing and
 #            the exposition round trip in ./internal/telemetry
 #   bench    allocation-trajectory gate: run the pinned dylect-bench suite
@@ -157,7 +160,7 @@ fi
 if want stress; then
 	echo "== stress: harness and fabric failure paths under -race -count=20"
 	go test -race -count=20 -run \
-		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive)|TestWaitSettled' \
+		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive|RetriesKeepOneRecording|AbandonedRecorderHandsOn)|TestWaitSettled' \
 		./internal/harness
 	go test -race -count=20 -run \
 		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricForgetOrphansOnlyItsMember|TestFabricConfigMismatchEvicts|TestFabricMemoHitBytes' \
@@ -234,7 +237,6 @@ if want serve; then
 		if [ -z "$addr" ]; then
 			echo "dylect-served never printed its address" >&2
 			cat "$serve_log" >&2
-			kill "$serve_pid" 2>/dev/null || true
 			exit 1
 		fi
 	}
@@ -256,9 +258,34 @@ if want serve; then
 			exit 1
 		fi
 	}
-	# A failed assertion between boot and stop must not leak the server
-	# (a surviving child holds the step's output pipe open under CI).
-	trap '[ -n "${serve_pid:-}" ] && kill "$serve_pid" 2>/dev/null || true' EXIT
+	# reap PID... SIGTERMs the processes and waits for every one of them,
+	# escalating to SIGKILL after 10s, so none outlives the script or is still
+	# writing a log when the script returns.
+	reap() {
+		local p live
+		[ $# -gt 0 ] || return 0
+		kill -TERM "$@" 2>/dev/null || true
+		for _ in $(seq 1 100); do
+			live=0
+			for p in "$@"; do
+				if kill -0 "$p" 2>/dev/null; then
+					live=1
+				fi
+			done
+			if [ "$live" -eq 0 ]; then
+				break
+			fi
+			sleep 0.1
+		done
+		kill -KILL "$@" 2>/dev/null || true
+		for p in "$@"; do
+			wait "$p" 2>/dev/null || true
+		done
+	}
+	# A failed assertion between boot and stop must not leak the server: a
+	# surviving child holds the step's output pipe open under CI and keeps
+	# writing the log CI uploads. The trap keeps the script's exit status.
+	trap 'rc=$?; [ -z "${serve_pid:-}" ] || reap "$serve_pid"; exit "$rc"' EXIT
 	# metric_nonzero FILE PATTERN: a sample matching PATTERN has value >= 1.
 	metric_nonzero() {
 		grep "$2" "$1" | grep -Evq ' 0(\.0+)?$' || {
@@ -334,7 +361,7 @@ fi
 if want fuzz; then
 	# `go test -fuzz` refuses a pattern matching more than one target, so
 	# enumerate the targets and smoke each one briefly.
-	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore ./internal/retry ./internal/harness ./internal/fabric ./internal/telemetry; do
+	for pkg in ./internal/comp ./internal/perfbench ./internal/dram ./internal/cellstore ./internal/retry ./internal/harness ./internal/serve ./internal/fabric ./internal/telemetry; do
 		targets=$(go test -list '^Fuzz' "$pkg" | grep '^Fuzz' || true)
 		if [ -z "$targets" ]; then
 			echo "no fuzz targets found in $pkg" >&2

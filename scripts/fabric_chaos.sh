@@ -59,8 +59,32 @@ exps=fig17,fig19
 echo "== build"
 go build -o "$bin" ./cmd/dylect-served
 
+# reap PID... SIGTERMs the processes and waits for every one of them,
+# escalating to SIGKILL after 10s, so none outlives the script or is still
+# writing a log when the script returns.
+reap() {
+	local p live
+	[ $# -gt 0 ] || return 0
+	kill -TERM "$@" 2>/dev/null || true
+	for _ in $(seq 1 100); do
+		live=0
+		for p in "$@"; do
+			if kill -0 "$p" 2>/dev/null; then
+				live=1
+			fi
+		done
+		if [ "$live" -eq 0 ]; then
+			break
+		fi
+		sleep 0.1
+	done
+	kill -KILL "$@" 2>/dev/null || true
+	for p in "$@"; do
+		wait "$p" 2>/dev/null || true
+	done
+}
 pids=()
-trap 'for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; done' EXIT
+trap 'rc=$?; reap "${pids[@]}"; exit "$rc"' EXIT
 
 # boot LOGFILE ARGS... starts one dylect-served process, waits for its
 # address handshake, and sets boot_pid/addr. The log is created before the
@@ -132,6 +156,7 @@ w1_pid=$boot_pid
 echo "== sweep through the cluster; SIGKILL worker1 while it holds a cell"
 "$bin" client -addr "http://$coord_addr" -exp "$exps" -json >"$dir/out.json" &
 client_pid=$!
+pids+=("$client_pid")
 held=""
 for _ in $(seq 1 300); do
 	if grep -q "chaos cell taken" "$dir/worker1.log"; then
