@@ -446,8 +446,8 @@ var errNoWorkers = errors.New("fabric: no live workers in the ring")
 // ring, verify the returned envelope, and hand back the payload. It owns
 // placement (the cell's rendezvous order, its failover order), bounded retry
 // with jittered backoff honoring Retry-After, hedged dispatch of
-// stragglers, and orphan re-dispatch. ctx is the cell's lease from the
-// runner's side (request deadline / drain).
+// stragglers, and orphan re-dispatch. The harness passes a context no
+// requester cancels, so the lease and attempt bounds settle a dispatch.
 func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byte, error) {
 	cellKey := spec.CellKey()
 	storeKey, err := harness.PayloadKey(c.cfg.ConfigHash, spec)

@@ -373,6 +373,58 @@ func TestFabricHedgeStraggler(t *testing.T) {
 	}
 }
 
+// TestFabricCanceledDispatchSettles: a coordinator Execute is canceled while
+// the worker's attempt runs (a hedge loser or an orphaned lease looks the
+// same to the worker). The worker stops waiting but finishes the cell, so
+// the next dispatch of it is a memo hit: one attempt in all, one
+// simulation.
+func TestFabricCanceledDispatchSettles(t *testing.T) {
+	cfg := microCfg()
+	returned := make(chan struct{}, 2)
+	signalReturn := func(next http.HandlerFunc) http.HandlerFunc {
+		return func(rw http.ResponseWriter, req *http.Request) {
+			next(rw, req)
+			returned <- struct{}{}
+		}
+	}
+	w, wr := testWorker(t, cfg, signalReturn)
+	started, release := make(chan struct{}), make(chan struct{})
+	var attempts atomic.Int32
+	wr.SetCellHook(func(string) error {
+		if attempts.Add(1) == 1 {
+			close(started)
+			<-release
+		}
+		return nil
+	})
+	coord, _ := newCoordinator([]string{w.URL}, func(c *Config) { c.Attempts = 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, err := coord.Execute(ctx, microSpec())
+		first <- err
+	}()
+	<-started
+	cancel()
+	if err := <-first; err == nil {
+		t.Fatal("canceled Execute reported success")
+	}
+	// The worker's handler has given up its wait before the attempt returns.
+	<-returned
+	close(release)
+
+	if _, err := coord.Execute(context.Background(), microSpec()); err != nil {
+		t.Fatalf("second dispatch: %v", err)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Errorf("worker attempted the cell %d times, want 1: the canceled dispatch discarded its simulation", n)
+	}
+	if n := wr.Runs(); n != 1 {
+		t.Errorf("worker simulated %d cells, want 1", n)
+	}
+}
+
 // TestFabricConfigMismatchEvicts proves a worker running a different config
 // is evicted from the ring on first contact instead of being retried, and
 // stays out: it answers every heartbeat, yet across 20 heartbeat intervals

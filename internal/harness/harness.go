@@ -180,15 +180,15 @@ func parseSetting(s string) (system.Setting, error) {
 	return 0, fmt.Errorf("harness: unknown setting %q", s)
 }
 
-// flight is one single-flight cache entry: the first requester simulates,
-// every later requester blocks on done. Exactly one of res/err is set once
+// flight is one single-flight cache entry: the first requester starts it,
+// and every requester blocks on done. Exactly one of res/err is set once
 // done is closed. obs carries the cell's recorded observability data (nil
 // when metrics are off); report holds its settlement record's Source,
 // WallNS and PeakRSSKB (Key and Err are filled only in the copy the
 // settlement hook receives: the cache key and err already hold them).
 type flight struct {
 	done chan struct{}
-	// ctx is the starter's context, the one that gates the flight's start.
+	// ctx is the starter's context: it gates the flight's start and retries.
 	ctx    context.Context
 	res    *system.Result
 	obs    *metrics.Data
@@ -203,8 +203,9 @@ type flight struct {
 // A Runner is a lightweight view over shared state: WithContext returns a
 // second view onto the same cache and worker pool whose cells are gated by
 // a request-scoped context. The serving layer (internal/serve) gives every
-// HTTP request its own view so client deadlines flow into cell execution
-// while results stay memoized across all clients.
+// HTTP request its own view so client deadlines bound its cell starts and
+// waits, never a running attempt, while results stay memoized across all
+// clients.
 type Runner struct {
 	Cfg Config
 
@@ -212,8 +213,8 @@ type Runner struct {
 
 	// reqCtx, when non-nil, is this view's request-scoped context
 	// (WithContext): it gates the cells this view starts and bounds how
-	// long this view's callers wait on in-flight cells. Nil on the base
-	// runner, which uses the SetContext context instead.
+	// long this view's callers wait on cells. Nil on the base runner
+	// (callCtx, waitCtx).
 	reqCtx context.Context
 }
 
@@ -234,7 +235,7 @@ type runnerState struct {
 
 	// Resilience knobs (SetContext, SetCellTimeout, SetRetries,
 	// SetCellHook, AttachCheckpoint). ctx gates *starting* cells — a
-	// canceled context drains the pool gracefully: in-flight cells finish
+	// canceled context drains the pool gracefully: running cells finish
 	// (and checkpoint), queued ones fail fast with ctx's error.
 	ctx          context.Context
 	cellTimeout  time.Duration
@@ -294,7 +295,7 @@ func NewRunner(cfg Config) *Runner {
 	if cfg.Window == 0 {
 		cfg.Window = 150 * engine.Microsecond
 	}
-	r := &Runner{Cfg: cfg, runnerState: &runnerState{cache: make(map[CellSpec]*flight)}}
+	r := &Runner{Cfg: cfg, runnerState: &runnerState{cache: make(map[CellSpec]*flight), ctx: context.Background()}}
 	r.SetJobs(1)
 	return r
 }
@@ -302,8 +303,8 @@ func NewRunner(cfg Config) *Runner {
 // WithContext returns a request-scoped view of the runner. The view shares
 // the cell cache, worker pool, resilience knobs, and checkpoint with the
 // receiver, but ctx gates the cells the view starts and bounds how long the
-// view's callers wait on in-flight cells: when ctx is done, waits return an
-// ErrCanceled-coded error while the underlying simulations keep running for
+// view's callers wait on cells: when ctx is done, waits return an
+// ErrCanceled-coded error while the simulations already running finish for
 // the benefit of other views. The view's Cfg is a copy, so per-request
 // degradation (e.g. shrinking MetricsSamples under memory pressure) cannot
 // leak into other views.
@@ -311,20 +312,24 @@ func (r *Runner) WithContext(ctx context.Context) *Runner {
 	return &Runner{Cfg: r.Cfg, runnerState: r.runnerState, reqCtx: ctx}
 }
 
-// callCtx resolves the context gating this view's cell starts and waits:
-// the view's request context when set, else the SetContext context, else
-// Background.
+// callCtx resolves the context gating the cells this view starts: the
+// view's request context when set, else the SetContext context.
 func (r *Runner) callCtx() context.Context {
 	if r.reqCtx != nil {
 		return r.reqCtx
 	}
 	r.mu.Lock()
-	ctx := r.ctx
-	r.mu.Unlock()
-	if ctx == nil {
-		ctx = context.Background()
+	defer r.mu.Unlock()
+	return r.ctx
+}
+
+// waitCtx bounds this view's waits on cells: its request context, or
+// Background on the base runner, whose callers wait until cells settle.
+func (r *Runner) waitCtx() context.Context {
+	if r.reqCtx != nil {
+		return r.reqCtx
 	}
-	return ctx
+	return context.Background()
 }
 
 // SetJobs bounds how many simulations may execute concurrently. Values
@@ -350,7 +355,8 @@ func (r *Runner) SetContext(ctx context.Context) {
 
 // SetCellTimeout arms the per-cell watchdog: an attempt that produces no
 // result within d is abandoned (its worker slot is released and the cell
-// fails with a timeout error). Zero disables the watchdog.
+// fails with a timeout error). It alone abandons a running attempt, whose
+// goroutine runs on outside the jobs bound. Zero disables the watchdog.
 func (r *Runner) SetCellTimeout(d time.Duration) {
 	r.mu.Lock()
 	r.cellTimeout = d
@@ -483,12 +489,12 @@ func (r *Runner) Result(wl string, d system.Design, s system.Setting) (*system.R
 	return r.result(r.normalize(cell(wl, d, s)))
 }
 
-// result is the single-flight core: the first requester of a key simulates
-// it (bounded by the jobs semaphore); duplicates block on the in-flight
-// entry. The key must already be normalized.
+// result is the single-flight core: the first requester of a key starts it
+// (bounded by the jobs semaphore); every requester, the first included,
+// waits on the in-flight entry. The key must already be normalized.
 //
-// Waits are bounded by the view's context: when it is done, waiting returns
-// an ErrCanceled-coded error while the in-flight simulation keeps running
+// Waits are bounded by waitCtx: when a view's context is done, waiting
+// returns an ErrCanceled-coded error while a running simulation finishes
 // for other views. A cell whose *starter's* context canceled it before it
 // ran is evicted from the cache (runCell), so a waiter whose own context is
 // still live retries with a fresh flight instead of inheriting a failure it
@@ -504,8 +510,9 @@ func (r *Runner) resultObs(key CellSpec) (*system.Result, *metrics.Data, error) 
 	ctx := r.callCtx()
 	for {
 		r.mu.Lock()
-		if r.planning {
-			f, ok := r.cache[key]
+		f, ok := r.cache[key]
+		switch {
+		case r.planning:
 			if !ok {
 				f = &flight{res: &system.Result{}}
 				r.cache[key] = f
@@ -513,34 +520,31 @@ func (r *Runner) resultObs(key CellSpec) (*system.Result, *metrics.Data, error) 
 			}
 			r.mu.Unlock()
 			return f.res, nil, nil
+		case !ok:
+			f = &flight{done: make(chan struct{}), ctx: ctx}
+			r.cache[key] = f
+			r.startCell(key, f)
 		}
-		if f, ok := r.cache[key]; ok {
-			r.mu.Unlock()
-			// A flight reports its own outcome whenever that is decided: when
-			// it has settled, even if ctx is done too, and always when it runs
-			// under this same ctx, whose cancellation its starter observes at
-			// its next gate. So a canceled run's report does not depend on
-			// which goroutine saw the cancellation first.
-			waitCtx := ctx
-			if f.ctx == ctx {
-				waitCtx = context.Background()
-			}
-			if err := waitSettled(waitCtx, f.done); err != nil {
-				return nil, nil, withCode(ErrCanceled,
-					fmt.Errorf("harness: cell %s: abandoned wait: %w", key.CellKey(), err))
-			}
-			if errors.Is(f.err, ErrCanceled) && ctx.Err() == nil {
-				continue // the starter gave up, we have not: retry fresh
-			}
-			return f.res, f.obs, f.err
-		}
-		f := &flight{done: make(chan struct{}), ctx: ctx}
-		r.cache[key] = f
 		r.mu.Unlock()
-		r.runCell(ctx, key, f, warmup{})
+		if err := waitSettled(r.waitCtx(), f.done); err != nil {
+			return nil, nil, withCode(ErrCanceled,
+				fmt.Errorf("harness: cell %s: abandoned wait: %w", key.CellKey(), err))
+		}
+		// Another starter gave up, we have not: retry fresh. Our own flight
+		// keeps its outcome: its retry backoff gives up before a deadline it
+		// would outlive, while ctx is still live.
+		if errors.Is(f.err, ErrCanceled) && ctx.Err() == nil && f.ctx != ctx {
+			continue
+		}
 		return f.res, f.obs, f.err
 	}
 }
+
+// startCell runs a cell on its own goroutine, so its starter waits on the
+// flight like any other caller.
+//
+//dylect:nondet-ok the flight's goroutine is scheduling, not simulation: it runs runCell, the cell executor, behind the same barrier
+func (r *Runner) startCell(key CellSpec, f *flight) { go r.runCell(key, f, warmup{}) }
 
 // waitSettled waits for done, or for ctx; when both are ready, done wins.
 func waitSettled(ctx context.Context, done <-chan struct{}) error {
@@ -560,12 +564,12 @@ func waitSettled(ctx context.Context, done <-chan struct{}) error {
 // runCell executes one cell: checkpoint restore, graceful-drain gate, worker
 // slot, then watchdogged attempts with transient-failure retry, each warming
 // up as w says. Panics are captured (with stack) so a failing cell reports
-// its key instead of crashing the process. ctx is the starter's context: it
-// gates the start, the retry backoff, and (with the watchdog) attempt
-// abandonment.
+// its key instead of crashing the process. The starter's context (f.ctx)
+// gates the start and the retry backoff only: an attempt, once started,
+// runs until it returns or the watchdog abandons it.
 //
 //dylect:nondet-ok the watchdog goroutine, the retry backoff and the wall-clock settlement record are scheduling, not simulation; the cell itself is reached from system.RunE and the warmup roots
-func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight, w warmup) {
+func (r *Runner) runCell(key CellSpec, f *flight, w warmup) {
 	defer close(f.done)
 	// Wall time and peak RSS are profiling data, kept strictly outside the
 	// deterministic exports (ExportJSON never reads them).
@@ -620,15 +624,15 @@ func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight, w warmup)
 	// into a worker slot run to completion and checkpoint.
 	notStarted := func() {
 		f.err = withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), ctx.Err()))
+			fmt.Errorf("harness: cell %s: not started: %w", key.CellKey(), f.ctx.Err()))
 	}
-	if ctx.Err() != nil {
+	if f.ctx.Err() != nil {
 		notStarted()
 		return
 	}
 	select {
 	case sem <- struct{}{}:
-	case <-ctx.Done():
+	case <-f.ctx.Done():
 		notStarted()
 		return
 	}
@@ -636,27 +640,19 @@ func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight, w warmup)
 	// a hung attempt, so one stuck cell cannot shrink the pool.
 	defer func() { <-sem }()
 
-	// The base runner's context is a graceful-drain gate: in-flight cells
-	// run to completion (and checkpoint) on cancellation. A request-scoped
-	// view's context is a deadline: it abandons the running attempt too.
-	attemptCtx := context.Background()
-	if r.reqCtx != nil {
-		attemptCtx = ctx
-	}
-
 	// Remote execution path: the fabric coordinator dispatches the cell
 	// instead of simulating it. The executor owns retry/hedging/failover, so
 	// its error is final; the payload it returns was already adopted into
 	// the checkpoint by remoteCell, so the local Store below is skipped.
 	if remote != nil {
 		f.report.Source = SourceRemote
-		f.res, f.obs, f.err = r.remoteCell(attemptCtx, key, remote, cp)
+		f.res, f.obs, f.err = r.remoteCell(key, remote, cp)
 		return
 	}
 
 	var o outcome
 	for attempt := 1; ; attempt++ {
-		o = r.attemptCell(attemptCtx, key, timeout, w)
+		o = r.attemptCell(key, timeout, w)
 		f.report.Source = o.source
 		if o.err == nil {
 			break
@@ -671,7 +667,7 @@ func (r *Runner) runCell(ctx context.Context, key CellSpec, f *flight, w warmup)
 		}
 		// A wait the context cuts short starts no further attempt: past a
 		// view's deadline nobody waits for it, and a drain starts nothing.
-		if err := retry.Sleep(ctx, retryWait(backoff, attempt)); err != nil {
+		if err := retry.Sleep(f.ctx, retryWait(backoff, attempt)); err != nil {
 			f.err = withCode(ErrCanceled,
 				fmt.Errorf("harness: cell %s: retry not started: %w (after %v)", key.CellKey(), err, o.err))
 			return
@@ -700,7 +696,7 @@ func retryWait(backoff time.Duration, attempt int) time.Duration {
 
 // outcome is one cell attempt's result. source is how the attempt warmed up
 // (SourceRecord, SourceRestore or SourceLive), empty when it failed before
-// its warmup, panicked or was abandoned.
+// its warmup, panicked or the watchdog abandoned it.
 type outcome struct {
 	res    *system.Result
 	obs    *metrics.Data
@@ -710,11 +706,10 @@ type outcome struct {
 
 // attemptCell runs one simulation attempt in a child goroutine so the
 // watchdog can abandon it: a hung simulator (or injected hang) cannot block
-// the sweep. The abandoned goroutine's eventual result, if any, lands in a
-// buffered channel and is discarded. The starter's context composes with
-// the watchdog: whichever fires first abandons the attempt, so a request
-// deadline bounds cell execution even without -cell-timeout.
-func (r *Runner) attemptCell(ctx context.Context, key CellSpec, timeout time.Duration, w warmup) outcome {
+// the sweep. No caller's context reaches an attempt: the watchdog alone
+// abandons one, whose goroutine runs on outside the worker slot runCell
+// gives back; its eventual result, if any, lands in a buffered channel.
+func (r *Runner) attemptCell(key CellSpec, timeout time.Duration, w warmup) outcome {
 	r.mu.Lock()
 	hook := r.cellHook
 	r.mu.Unlock()
@@ -752,9 +747,6 @@ func (r *Runner) attemptCell(ctx context.Context, key CellSpec, timeout time.Dur
 	case <-watchdog:
 		return outcome{err: withCode(ErrCellTimeout,
 			fmt.Errorf("harness: cell %s: no result after %v; watchdog abandoned the worker", key.CellKey(), timeout))}
-	case <-ctx.Done():
-		return outcome{err: withCode(ErrCanceled,
-			fmt.Errorf("harness: cell %s: attempt abandoned: %w", key.CellKey(), ctx.Err()))}
 	}
 }
 
@@ -931,7 +923,7 @@ func Names() []string {
 	return out
 }
 
-// sortedWorkloads returns the runner's workload list (stable order).
+// workloads returns the runner's workload list in paper order.
 func (r *Runner) workloads() []string {
 	ws := append([]string(nil), r.Cfg.Workloads...)
 	// Keep paper order (trace.Names order), not alphabetical.

@@ -153,9 +153,10 @@ func RunShared(r *Runner, exps []Experiment) []ExperimentOutput {
 // cells overlap regardless of experiment structure; cells an experiment
 // needs beyond the plan (a planning miss) are still simulated lazily and
 // merely lose overlap. A failed cell or a panic fails only the experiments
-// it reaches, reported in their outputs.
+// it reaches, reported in their outputs. It returns once the plan has
+// settled or, on a view, its context is done.
 func runPlan(r *Runner, plan []CellSpec, exps []Experiment) []ExperimentOutput {
-	warmed := r.startPlan(plan)
+	settled := r.startPlan(plan)
 	outs := make([]ExperimentOutput, len(exps))
 	var wg sync.WaitGroup
 	for i, e := range exps {
@@ -178,6 +179,9 @@ func runPlan(r *Runner, plan []CellSpec, exps []Experiment) []ExperimentOutput {
 		}(i, e)
 	}
 	wg.Wait()
-	warmed()
+	select {
+	case <-settled:
+	case <-r.waitCtx().Done():
+	}
 	return outs
 }

@@ -99,9 +99,11 @@ func TestViewDeadlineAbandonsWaitButNotSimulation(t *testing.T) {
 	r.SetJobs(2)
 
 	started := make(chan struct{})
-	var once sync.Once
+	var attempts atomic.Int32
 	r.SetCellHook(func(cellKey string) error {
-		once.Do(func() { close(started) })
+		if attempts.Add(1) == 1 {
+			close(started)
+		}
 		return nil
 	})
 
@@ -124,12 +126,12 @@ func TestViewDeadlineAbandonsWaitButNotSimulation(t *testing.T) {
 		t.Fatalf("abandoned wait not classified as ErrCanceled: %v", err)
 	}
 
-	// The starter was the view itself, so its attempt was abandoned and the
-	// canceled cell evicted. A requester with a live context re-attempts
-	// and succeeds; the export then contains exactly that cell.
 	res, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh)
 	if err != nil || res == nil || res.Insts == 0 {
 		t.Fatalf("shared runner cannot recover the cell after a view deadline: %v", err)
+	}
+	if n := attempts.Load(); n != 1 {
+		t.Fatalf("the cell was attempted %d times, want 1: the view's deadline abandoned its simulation", n)
 	}
 	e, ok := ByName("fig4")
 	if !ok {
@@ -141,5 +143,64 @@ func TestViewDeadlineAbandonsWaitButNotSimulation(t *testing.T) {
 	}
 	if len(data) == 0 {
 		t.Fatal("empty scoped export")
+	}
+}
+
+// TestCanceledViewKeepsWorkerSlot: at jobs 1, a view is canceled while cell
+// A's attempt runs. The view stops waiting, but A keeps its worker slot: cell
+// B, requested next, must not start until A's attempt returns, so -jobs
+// bounds what runs however many requests give up.
+func TestCanceledViewKeepsWorkerSlot(t *testing.T) {
+	r := NewRunner(microConfig())
+	r.SetJobs(1)
+	const a, b = "omnetpp/tmcc/high", "omnetpp/dylect/high"
+	aStarted, release, bStarted := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var aReturned atomic.Bool
+	r.SetCellHook(func(key string) error {
+		switch key {
+		case a:
+			close(aStarted)
+			<-release
+			aReturned.Store(true)
+		case b:
+			if !aReturned.Load() {
+				t.Errorf("cell %s started while %s still held the only worker slot", b, a)
+			}
+			close(bStarted)
+		}
+		// No simulation: the test is about the slot, not the result.
+		return errors.New("injected failure")
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	viewErr := make(chan error, 1)
+	go func() {
+		_, err := r.WithContext(ctx).Result("omnetpp", system.DesignTMCC, system.SettingHigh)
+		viewErr <- err
+	}()
+	<-aStarted
+	cancel()
+	if err := <-viewErr; !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled view returned %v, want ErrCanceled", err)
+	}
+
+	bErr := make(chan error, 1)
+	go func() {
+		_, err := r.Result("omnetpp", system.DesignDyLeCT, system.SettingHigh)
+		bErr <- err
+	}()
+	select {
+	case <-bStarted:
+		t.Fatalf("cell %s started while %s's attempt still ran", b, a)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	select {
+	case <-bErr:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("cell %s never ran after %s's attempt returned", b, a)
+	}
+	if _, err := r.Result("omnetpp", system.DesignTMCC, system.SettingHigh); err == nil || errors.Is(err, ErrCanceled) {
+		t.Fatalf("cell %s settled %v, want its attempt's own failure", a, err)
 	}
 }

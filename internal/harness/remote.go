@@ -57,8 +57,8 @@ func decodeCellPayload(payload []byte) (*system.Result, *metrics.Data, error) {
 
 // RemoteExecutor executes one cell out of process and returns its canonical
 // payload bytes (already envelope-verified by the caller's transport). The
-// context carries the dispatching cell's lease; implementations must honor
-// it.
+// runner passes context.Background(): no requester cancels a started cell,
+// so the executor's own lease and attempt bounds settle the dispatch.
 type RemoteExecutor func(ctx context.Context, spec CellSpec) ([]byte, error)
 
 // SetRemoteExecutor routes cell execution through exec instead of the local
@@ -76,8 +76,8 @@ func (r *Runner) SetRemoteExecutor(exec RemoteExecutor) {
 
 // remoteCell dispatches one cell through the installed executor and settles
 // it from the returned payload.
-func (r *Runner) remoteCell(ctx context.Context, key CellSpec, exec RemoteExecutor, cp *Checkpoint) (*system.Result, *metrics.Data, error) {
-	payload, err := exec(ctx, key)
+func (r *Runner) remoteCell(key CellSpec, exec RemoteExecutor, cp *Checkpoint) (*system.Result, *metrics.Data, error) {
+	payload, err := exec(context.Background(), key)
 	if err != nil {
 		return nil, nil, fmt.Errorf("harness: cell %s: %w", key.CellKey(), err)
 	}
@@ -96,8 +96,8 @@ func (r *Runner) remoteCell(ctx context.Context, key CellSpec, exec RemoteExecut
 // ExecuteCell runs one remotely-requested cell through the normal
 // single-flight path — jobs semaphore, watchdog, retries, checkpoint,
 // observers all apply — and returns its canonical payload bytes. It is the
-// worker-side entry point of the fabric protocol; ctx bounds the wait the
-// same way a request-scoped view's context does.
+// worker-side entry point of the fabric protocol; ctx gates the start and
+// bounds the wait as a view's context does, so a started cell is memoized.
 func (r *Runner) ExecuteCell(ctx context.Context, spec CellSpec) ([]byte, error) {
 	if err := spec.check(); err != nil {
 		return nil, err

@@ -37,7 +37,7 @@ type plannedCell struct {
 // claimPlan creates a flight for every planned cell not already cached or in
 // flight, so the plan alone decides when each starts (experiments and other
 // views block on the flight), and groups the fresh cells by warm key. Cells
-// that share nothing come back in solo.
+// that share nothing, or that the store holds, come back in solo.
 func (r *Runner) claimPlan(ctx context.Context, plan []CellSpec) (solo []plannedCell, groups [][]plannedCell) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -48,8 +48,8 @@ func (r *Runner) claimPlan(ctx context.Context, plan []CellSpec) (solo []planned
 		}
 		c := plannedCell{key, &flight{done: make(chan struct{}), ctx: ctx}}
 		r.cache[key] = c.f
-		if r.remote != nil {
-			solo = append(solo, c) // nothing simulates locally
+		if r.remote != nil || (r.checkpoint != nil && r.checkpoint.Has(key)) {
+			solo = append(solo, c) // nothing to record or restore
 			continue
 		}
 		opts, err := r.options(key)
@@ -81,24 +81,25 @@ func (r *Runner) claimPlan(ctx context.Context, plan []CellSpec) (solo []planned
 // background: the unshared ones at once, then the groups, running at most
 // one per worker slot at a time. Once the context is done every cell of a
 // group not yet running starts at once and settles as not started. The
-// returned func waits until every claimed cell has settled.
-func (r *Runner) startPlan(plan []CellSpec) (wait func()) {
+// returned channel closes when every claimed cell has settled.
+func (r *Runner) startPlan(plan []CellSpec) (settled <-chan struct{}) {
 	ctx := r.callCtx()
 	solo, groups := r.claimPlan(ctx, plan)
 	r.mu.Lock()
 	running := make(chan struct{}, cap(r.sem))
 	r.mu.Unlock()
-	var wg sync.WaitGroup
-	start := func(c plannedCell, w warmup) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runCell(ctx, c.key, c.f, w)
-		}()
-	}
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		start := func(c plannedCell, w warmup) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r.runCell(c.key, c.f, w)
+			}()
+		}
 		for _, c := range solo {
 			start(c, warmup{})
 		}
@@ -118,7 +119,7 @@ func (r *Runner) startPlan(plan []CellSpec) (wait func()) {
 			}
 		}
 	}()
-	return wg.Wait
+	return done
 }
 
 // runGroup runs one warm-key group: it starts the first member recording

@@ -264,10 +264,10 @@ func TestSharedWarmupImagesAreReleased(t *testing.T) {
 	}
 }
 
-// TestSharedWarmupStoreHitsReleaseClaims: members of a warm-key group that
-// settle as store hits release their claims like any other settle path, so
-// the group's image is dropped and every simulated member still matches
-// live RunE.
+// TestSharedWarmupStoreHitsReleaseClaims: cells the store holds are claimed
+// outside any warm-key group, so they start at once; alongside them the
+// plan's other cells still record once and restore, the group's image is
+// dropped, and every simulated cell matches live RunE.
 func TestSharedWarmupStoreHitsReleaseClaims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -300,6 +300,13 @@ func TestSharedWarmupStoreHitsReleaseClaims(t *testing.T) {
 	}
 	first.mu.Unlock()
 	checkMatchesLive(t, r, hits...)
+	// Now the store holds every cell of the plan, so a fresh runner starts
+	// them all at once: none has a warmup to record or restore.
+	fresh := NewRunner(cfg)
+	fresh.AttachCheckpoint(cp)
+	if _, groups := fresh.claimPlan(context.Background(), planCells(cfg, experimentsNamed(t, "fig17", "fig18"))); len(groups) != 0 {
+		t.Fatalf("store-resident cells claimed into %d warm groups, want none", len(groups))
+	}
 }
 
 // TestSharedWarmupRecorderPanic: the recording cell panics before the rest

@@ -13,22 +13,23 @@
 #   race     go test -race ./...   (includes the jobs=1 vs jobs=N harness
 #            equivalence and single-flight hammer tests at 4+ jobs)
 #   stress   the harness failure paths repeated under the race detector:
-#            cancel, watchdog timeout, retry, single-flight and the
-#            shared-warmup concurrency tests (many cells restoring one
-#            image, a recorder panicking or abandoned by the watchdog
-#            before its group starts, transient retries inside a group, a
-#            cancel while the group waits for its image, the live fallback
-#            when every image slot is taken, recordings side by side at
-#            jobs 8) at -count=20, the fabric
-#            failure paths (a hedged straggler, orphan re-dispatch, a
-#            verify failure re-dispatched, a forgotten worker orphaning
-#            only its own dispatch, a config-mismatched worker staying out
-#            across heartbeats) and 16 concurrent memo-hit dispatches of
-#            one cell at -count=20, then the
-#            pre-canceled CLI drain report at -count=200, which must be
-#            byte-stable, and the served drain with the listener failed
-#            and the context canceled at once at -count=200, which must
-#            drain cleanly and exit 0 every time
+#            cancel (a view's deadline leaving one attempt, a canceled
+#            view keeping its worker slot), watchdog timeout, retry,
+#            single-flight and the shared-warmup concurrency tests (many
+#            cells restoring one image, a recorder panicking or abandoned
+#            by the watchdog before its group starts, transient retries
+#            inside a group, a cancel while the group waits for its image,
+#            the live fallback when every image slot is taken, recordings
+#            side by side at jobs 8) at -count=20, the fabric failure
+#            paths (a hedged straggler, orphan re-dispatch, a verify
+#            failure re-dispatched, a forgotten worker orphaning only its
+#            own dispatch, a config-mismatched worker staying out across
+#            heartbeats, a canceled dispatch still settling on its worker)
+#            and 16 concurrent memo-hit dispatches of one cell at
+#            -count=20, then the pre-canceled CLI drain report at
+#            -count=200, which must be byte-stable, and the served drain
+#            with the listener failed and the context canceled at once at
+#            -count=200, which must drain cleanly and exit 0 every time
 #   golden   re-run the golden-run regression corpus (invariant audits on)
 #            and byte-compare against internal/harness/testdata/golden
 #   faults   fault-injection smoke: seeded mid-run corruptions of every
@@ -160,10 +161,10 @@ fi
 if want stress; then
 	echo "== stress: harness and fabric failure paths under -race -count=20"
 	go test -race -count=20 -run \
-		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive|RetriesKeepOneRecording|AbandonedRecorderHandsOn)|TestWaitSettled' \
+		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestCanceledViewKeepsWorkerSlot|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive|RetriesKeepOneRecording|AbandonedRecorderHandsOn)|TestWaitSettled' \
 		./internal/harness
 	go test -race -count=20 -run \
-		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricForgetOrphansOnlyItsMember|TestFabricConfigMismatchEvicts|TestFabricMemoHitBytes' \
+		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricForgetOrphansOnlyItsMember|TestFabricConfigMismatchEvicts|TestFabricCanceledDispatchSettles|TestFabricMemoHitBytes' \
 		./internal/fabric
 	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
 	go test -race -count=200 -run 'TestServeCancelWinsOverServeError' ./cmd/dylect-served

@@ -11,8 +11,10 @@
 #   2. Boot a coordinator (durable store, fast heartbeat, 2s hedge delay)
 #      and worker1, which joins by announcement and is the ring's only
 #      member when the sweep starts:
-#        worker1  -chaos hang:    every cell hangs forever, with no
-#                                 watchdog, so each cell it takes holds its
+#        worker1  -chaos hang:    every cell hangs forever; its watchdog
+#                                 is dylect-served's default 2-minute
+#                                 -cell-timeout, which the soak never
+#                                 reaches, so each cell it takes holds its
 #                                 lease until the worker dies
 #   3. Sweep through the coordinator. Every first dispatch goes to worker1;
 #      once worker1's log shows a cell taken ("chaos cell taken"), boot two
