@@ -16,6 +16,11 @@
 // hedged to the next member after a p95-derived delay, first result wins.
 // Dispatch failures retry with jittered backoff honoring Retry-After. All of
 // it is observable through dedicated /metrics families.
+//
+// A dispatch runs on the goroutine that calls Execute, the one the harness
+// runs its cell on; only a hedge that fires runs on a goroutine of its own,
+// its timer's. Every dispatch ends in one step, its lease's settle, which
+// counts its outcome, scores its member and samples its latency.
 package fabric
 
 import (
@@ -232,6 +237,21 @@ func (c *Coordinator) dropLocked(url, why string) {
 	c.gaugesLocked()
 }
 
+// scoreLocked is the one scoring rule, for heartbeat probes and dispatch
+// settles alike: a success clears st's consecutive-failure count, and the
+// DeadAfter-th failure in a row drops it from the ring. An entry in the ring
+// is the ledger's entry for its URL, so the drop reaches st and no other.
+func (c *Coordinator) scoreLocked(st *workerState, ok bool, what string) {
+	if ok {
+		st.fails = 0
+		return
+	}
+	st.fails++
+	if st.inRing && st.fails >= c.cfg.DeadAfter {
+		c.dropLocked(st.url, fmt.Sprintf("%d consecutive %s failures", st.fails, what))
+	}
+}
+
 // Forget removes a worker entirely (leave announcement): it exits the ring
 // and the heartbeat stops probing it, so only a join re-admits it.
 func (c *Coordinator) Forget(url string) { c.forget(url, "leave announced") }
@@ -327,9 +347,8 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// probeAll heartbeats every known worker: a live /readyz resets its failure
-// score (and re-admits it to the ring); DeadAfter consecutive failures drop
-// it and orphan its leases.
+// probeAll heartbeats every known worker and scores each probe
+// (scoreLocked); a live /readyz also re-admits a worker to the ring.
 func (c *Coordinator) probeAll(ctx context.Context) {
 	c.mu.Lock()
 	urls := make([]string, 0, len(c.workers))
@@ -341,20 +360,10 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 	for _, u := range urls {
 		alive := c.probe(ctx, u)
 		c.mu.Lock()
-		st := c.workers[u]
-		if st == nil { // forgotten while probing
-			c.mu.Unlock()
-			continue
-		}
-		if alive {
-			st.fails = 0
-			if !st.inRing {
+		if st := c.workers[u]; st != nil { // nil: forgotten while probing
+			c.scoreLocked(st, alive, "heartbeat")
+			if alive && !st.inRing {
 				c.enterLocked(st, "fabric worker rejoined")
-			}
-		} else {
-			st.fails++
-			if st.inRing && st.fails >= c.cfg.DeadAfter {
-				c.dropLocked(u, fmt.Sprintf("%d consecutive heartbeat failures", st.fails))
 			}
 		}
 		c.mu.Unlock()
@@ -411,14 +420,15 @@ func (c *Coordinator) handleMember(rw http.ResponseWriter, req *http.Request, jo
 	json.NewEncoder(rw).Encode(map[string]any{"ok": true, "ring": c.RingSize()})
 }
 
-// DispatchError is one failed dispatch, typed so the retry loop can tell
-// worker-death (orphaned: re-dispatch at once) from worker-reported errors
-// (respect Retry-After, count against the breaker-feeding failure score).
+// DispatchError is one failed dispatch. Outcome is its label in
+// dylect_fabric_dispatches_total, which its lease settles (OutcomeError,
+// OutcomeOrphaned, OutcomeVerifyFailed or OutcomeCanceled); the retry loop
+// reads Code for a worker-reported panic and RetryAfter for its wait.
 type DispatchError struct {
 	Worker     string
+	Outcome    string
 	Code       string
 	Status     int
-	Orphaned   bool
 	RetryAfter time.Duration
 	Err        error
 	Msg        string
@@ -426,7 +436,7 @@ type DispatchError struct {
 
 func (e *DispatchError) Error() string {
 	switch {
-	case e.Orphaned:
+	case e.Outcome == OutcomeOrphaned:
 		return fmt.Sprintf("fabric: worker %s died mid-cell: %v", e.Worker, e.Err)
 	case e.Err != nil:
 		return fmt.Sprintf("fabric: worker %s: %v", e.Worker, e.Err)
@@ -454,6 +464,10 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 	if err != nil {
 		return nil, err
 	}
+	body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: c.cfg.ConfigHash, Schema: c.cfg.Schema})
+	if err != nil {
+		return nil, err
+	}
 	var last error
 	for attempt := 0; attempt < c.cfg.Attempts; attempt++ {
 		if attempt > 0 {
@@ -473,7 +487,7 @@ func (c *Coordinator) Execute(ctx context.Context, spec harness.CellSpec) ([]byt
 		if len(reps) > 1 {
 			hedge = reps[(attempt+1)%len(reps)]
 		}
-		payload, err := c.dispatchHedged(ctx, cellKey, storeKey, spec, primary, hedge)
+		payload, err := c.dispatchHedged(ctx, cellKey, storeKey, body, primary, hedge)
 		if err == nil {
 			return payload, nil
 		}
@@ -529,127 +543,96 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	return p95
 }
 
-func (c *Coordinator) recordLatency(d time.Duration) {
-	c.mu.Lock()
-	c.window = append(c.window, d)
-	if len(c.window) > latencyWindow {
-		c.window = c.window[len(c.window)-latencyWindow:]
-	}
-	c.mu.Unlock()
-}
-
-// dispatchHedged runs one dispatch attempt with straggler hedging: the
-// primary is dispatched immediately; if it has not settled within
-// hedgeDelay and a distinct replica exists, a duplicate fires there and the
-// first success wins (the loser's lease is canceled). Duplicates are safe:
-// the cell is content-addressed, so both sides produce the same record.
-func (c *Coordinator) dispatchHedged(ctx context.Context, cellKey, storeKey string, spec harness.CellSpec, primary, hedge string) ([]byte, error) {
-	type outcome struct {
-		payload []byte
-		err     error
-		worker  string
-	}
-	ch := make(chan outcome, 2) // buffered: a losing dispatch never blocks
-	dispatch := func(dctx context.Context, worker string) {
-		p, err := c.dispatchOne(dctx, cellKey, storeKey, spec, worker)
-		ch <- outcome{payload: p, err: err, worker: worker}
+// dispatchHedged runs one dispatch attempt with straggler hedging. The
+// primary is sent on the calling goroutine. If it has not settled within
+// hedgeDelay and a hedge replica exists, a timer sends a duplicate there; a
+// duplicate that succeeds cancels the primary, and either way it hands its
+// outcome back on a one-slot channel. The first success wins, and returning
+// cancels a duplicate still in flight. Duplicates are safe: the cell is
+// content-addressed, so both sides produce the same record.
+func (c *Coordinator) dispatchHedged(ctx context.Context, cellKey, storeKey string, body []byte, primary, hedge string) ([]byte, error) {
+	if hedge == "" {
+		return c.dispatchOne(ctx, cellKey, storeKey, body, primary)
 	}
 	primCtx, primCancel := context.WithCancel(ctx)
 	defer primCancel()
-	go dispatch(primCtx, primary)
-
-	var hedgeTimer <-chan time.Time
-	if hedge != "" && hedge != primary {
-		t := time.NewTimer(c.hedgeDelay())
-		defer t.Stop()
-		hedgeTimer = t.C
-	}
 	hedgeCtx, hedgeCancel := context.WithCancel(ctx)
 	defer hedgeCancel()
-
-	outstanding := 1
-	var lastErr error
-	for {
-		select {
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if c.met != nil {
-				c.met.Hedges.Inc("fired")
-			}
-			c.log.Info("fabric hedge fired", "cell", cellKey, "straggler", primary, "hedge", hedge)
-			outstanding++
-			go dispatch(hedgeCtx, hedge)
-		case out := <-ch:
-			outstanding--
-			if out.err == nil {
-				if out.worker == hedge && c.met != nil {
-					c.met.Hedges.Inc("won")
-				}
-				// Cancel the loser; its dispatch settles into the buffered
-				// channel and is discarded.
-				primCancel()
-				hedgeCancel()
-				return out.payload, nil
-			}
-			lastErr = out.err
-			if outstanding == 0 {
-				return nil, lastErr
-			}
-		}
+	type settled struct {
+		payload []byte
+		err     error
 	}
+	hedged := make(chan settled, 1)
+	t := time.AfterFunc(c.hedgeDelay(), func() {
+		if c.met != nil {
+			c.met.Hedges.Inc("fired")
+		}
+		c.log.Info("fabric hedge fired", "cell", cellKey, "straggler", primary, "hedge", hedge)
+		p, err := c.dispatchOne(hedgeCtx, cellKey, storeKey, body, hedge)
+		if err == nil {
+			primCancel()
+		}
+		hedged <- settled{p, err}
+	})
+	payload, err := c.dispatchOne(primCtx, cellKey, storeKey, body, primary)
+	if t.Stop() || err == nil {
+		return payload, err
+	}
+	// The hedge fired and the primary failed, or lost to it: the attempt
+	// is the hedge's.
+	if h := <-hedged; h.err == nil {
+		if c.met != nil {
+			c.met.Hedges.Inc("won")
+		}
+		return h.payload, nil
+	}
+	return nil, err
 }
 
 // dispatchOne sends one cell to one worker under a fresh lease and verifies
-// what comes back. Every exit increments dispatches{worker,outcome}.
-func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string, spec harness.CellSpec, worker string) ([]byte, error) {
+// what comes back. Every exit settles the lease once, with the outcome of
+// the DispatchError it returns, or OutcomeOK.
+func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string, body []byte, worker string) (payload []byte, err error) {
 	leaseCtx, cancel := context.WithTimeout(ctx, c.cfg.Lease)
 	defer cancel()
-	release := c.lease(worker, cancel)
-	defer release()
-
-	body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: c.cfg.ConfigHash, Schema: c.cfg.Schema})
-	if err != nil {
-		return nil, err
-	}
+	settle := c.lease(worker, cancel)
 	start := time.Now()
+	defer func() {
+		outcome := OutcomeOK
+		var de *DispatchError
+		if errors.As(err, &de) {
+			outcome = de.Outcome
+		}
+		settle(outcome, time.Since(start))
+	}()
+
 	req, err := http.NewRequestWithContext(leaseCtx, http.MethodPost, worker+CellPath, bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, &DispatchError{Worker: worker, Outcome: OutcomeError, Err: err}
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.http.Do(req)
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+		resp.Body.Close()
+	}
 	if err != nil {
 		if ctx.Err() != nil {
-			// The coordinator itself gave up (hedge race lost, request gone,
-			// drain): not the worker's fault.
-			c.count(worker, OutcomeCanceled)
-			return nil, &DispatchError{Worker: worker, Code: serve.CodeCanceled, Err: ctx.Err()}
+			// The coordinator itself gave up (hedge race lost, caller gone):
+			// not the worker's fault.
+			return nil, &DispatchError{Worker: worker, Outcome: OutcomeCanceled, Code: serve.CodeCanceled, Err: ctx.Err()}
 		}
-		// The lease expired (hung worker), the heartbeat canceled it (dead
+		// The lease expired (hung worker), the member was dropped (dead
 		// worker), or the transport broke mid-flight (SIGKILLed worker):
 		// the cell is orphaned and must be re-dispatched elsewhere.
-		c.count(worker, OutcomeOrphaned)
-		if c.met != nil {
-			c.met.Orphans.Inc()
-		}
-		c.noteFailure(worker)
-		return nil, &DispatchError{Worker: worker, Orphaned: true, Err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		c.count(worker, OutcomeOrphaned)
-		if c.met != nil {
-			c.met.Orphans.Inc()
-		}
-		c.noteFailure(worker)
-		return nil, &DispatchError{Worker: worker, Orphaned: true, Err: err}
+		return nil, &DispatchError{Worker: worker, Outcome: OutcomeOrphaned, Err: err}
 	}
 
 	if resp.StatusCode != http.StatusOK {
 		var er serve.ErrorResponse
 		json.Unmarshal(data, &er)
-		de := &DispatchError{Worker: worker, Code: er.Code, Status: resp.StatusCode, Msg: er.Error,
+		de := &DispatchError{Worker: worker, Outcome: OutcomeError, Code: er.Code, Status: resp.StatusCode, Msg: er.Error,
 			RetryAfter: retry.Advice(resp.Header.Get("Retry-After"), er.RetryAfterSec)}
 		if er.Code == "" {
 			de.Msg = string(bytes.TrimSpace(data))
@@ -660,38 +643,28 @@ func (c *Coordinator) dispatchOne(ctx context.Context, cellKey, storeKey string,
 			// let its next good heartbeat re-admit it, so only a join does.
 			c.forget(worker, "config/schema mismatch")
 		}
-		c.count(worker, OutcomeError)
-		c.noteFailure(worker)
 		return nil, de
 	}
 
-	payload, err := cellstore.DecodeEnvelope(c.cfg.Schema, storeKey, data)
+	payload, err = cellstore.DecodeEnvelope(c.cfg.Schema, storeKey, data)
 	if err != nil {
 		// The worker's bytes failed sha256/schema/key verification. Tell it
 		// to re-verify (and so quarantine) its durable copy, then treat the
 		// dispatch as failed so the cell re-dispatches to the next replica.
-		c.count(worker, OutcomeVerifyFailed)
-		c.noteFailure(worker)
-		c.requestVerify(worker, spec)
+		c.requestVerify(worker, body)
 		c.log.Warn("fabric envelope rejected", "cell", cellKey, "worker", worker, "err", err)
-		return nil, &DispatchError{Worker: worker, Code: cellstore.ReasonChecksum, Err: err}
+		return nil, &DispatchError{Worker: worker, Outcome: OutcomeVerifyFailed, Code: cellstore.ReasonChecksum, Err: err}
 	}
-	c.count(worker, OutcomeOK)
-	c.noteSuccess(worker)
-	c.recordLatency(time.Since(start))
 	return payload, nil
 }
 
 // requestVerify asks a worker to re-verify its durable copy of a cell whose
-// envelope failed verification in transit. Best-effort with its own bound:
-// the worker may be the reason the bytes were bad.
-func (c *Coordinator) requestVerify(worker string, spec harness.CellSpec) {
+// envelope failed verification in transit; body is the cell's dispatch
+// request. Best-effort with its own bound: the worker may be the reason the
+// bytes were bad.
+func (c *Coordinator) requestVerify(worker string, body []byte) {
 	vctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	body, err := json.Marshal(CellRequest{Spec: spec, ConfigHash: c.cfg.ConfigHash, Schema: c.cfg.Schema})
-	if err != nil {
-		return
-	}
 	req, err := http.NewRequestWithContext(vctx, http.MethodPost, worker+VerifyPath, bytes.NewReader(body))
 	if err != nil {
 		return
@@ -703,54 +676,51 @@ func (c *Coordinator) requestVerify(worker string, spec harness.CellSpec) {
 	}
 }
 
-func (c *Coordinator) count(worker, outcome string) {
-	if c.met != nil {
-		c.met.Dispatches.Inc(worker, outcome)
-	}
-}
-
-// noteFailure scores a dispatch failure against the worker; like heartbeat
-// failures, DeadAfter consecutive ones drop it from the ring.
-func (c *Coordinator) noteFailure(worker string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.workers[worker]
-	if st == nil {
-		return
-	}
-	st.fails++
-	if st.inRing && st.fails >= c.cfg.DeadAfter {
-		c.dropLocked(worker, fmt.Sprintf("%d consecutive dispatch failures", st.fails))
-	}
-}
-
-func (c *Coordinator) noteSuccess(worker string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if st := c.workers[worker]; st != nil {
-		st.fails = 0
-	}
-}
-
 // lease hangs a dispatch's cancel off worker's member context, so dropping
-// the worker orphans the dispatch, and counts the dispatch in the worker's
-// in-flight total until release runs. A dispatch to a worker that left the
-// ring after placement is orphaned at once.
-func (c *Coordinator) lease(worker string, cancel context.CancelFunc) (release func()) {
+// the worker orphans the dispatch, and counts the dispatch in the member's
+// in-flight total. A dispatch to a worker that left the ring after placement
+// is orphaned at once. settle ends the dispatch, under one lock: it counts
+// the outcome (and an orphan), drops the in-flight count, scores the member
+// entry it leased (scoreLocked; a canceled dispatch scores nothing) and adds
+// a success's elapsed time to the latency window. A refused lease's settle
+// only counts the outcome: it scores nobody.
+func (c *Coordinator) lease(worker string, cancel context.CancelFunc) (settle func(outcome string, elapsed time.Duration)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.workers[worker]
-	if st == nil || !st.inRing {
+	var stop func() bool
+	if st != nil && st.inRing {
+		st.inflight++
+		stop = context.AfterFunc(st.ctx, cancel)
+	} else {
+		st = nil
 		cancel()
-		return func() {}
 	}
-	st.inflight++
-	stop := context.AfterFunc(st.ctx, cancel)
-	return func() {
-		stop()
+	return func(outcome string, elapsed time.Duration) {
 		c.mu.Lock()
+		defer c.mu.Unlock()
+		if c.met != nil {
+			c.met.Dispatches.Inc(worker, outcome)
+			if outcome == OutcomeOrphaned {
+				c.met.Orphans.Inc()
+			}
+		}
+		if st == nil {
+			return
+		}
+		stop()
 		st.inflight--
-		c.mu.Unlock()
+		switch outcome {
+		case OutcomeCanceled: // the coordinator's doing, not the worker's
+		case OutcomeOK:
+			c.scoreLocked(st, true, "dispatch")
+			c.window = append(c.window, elapsed)
+			if len(c.window) > latencyWindow {
+				c.window = c.window[len(c.window)-latencyWindow:]
+			}
+		default:
+			c.scoreLocked(st, false, "dispatch")
+		}
 	}
 }
 

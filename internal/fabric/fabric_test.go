@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -370,6 +371,46 @@ func TestFabricHedgeStraggler(t *testing.T) {
 	}
 	if met.Hedges.Value("won") < 1 {
 		t.Errorf("hedges won = %.0f, want >= 1", met.Hedges.Value("won"))
+	}
+}
+
+// roundTripFunc is an http.RoundTripper made of a function.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// goroutineID is the calling goroutine's id, read from the header of its
+// stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
+}
+
+// TestDispatchRunsOnCallersGoroutine: with no hedge fired, a dispatch is sent
+// from the goroutine that calls Execute, the one the harness runs its cell
+// on, and costs no goroutine of its own.
+func TestDispatchRunsOnCallersGoroutine(t *testing.T) {
+	cfg := microCfg()
+	w1, _ := testWorker(t, cfg, nil)
+	w2, _ := testWorker(t, cfg, nil)
+	coord, _ := newCoordinator([]string{w1.URL, w2.URL}, nil)
+	var mu sync.Mutex
+	var senders []string
+	coord.http.Transport = roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if req.URL.Path == CellPath {
+			mu.Lock()
+			senders = append(senders, goroutineID())
+			mu.Unlock()
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	if _, err := coord.Execute(context.Background(), microSpec()); err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if me := goroutineID(); len(senders) != 1 || senders[0] != me {
+		t.Fatalf("dispatches sent from goroutines %q, want one from the caller's, %s", senders, me)
 	}
 }
 

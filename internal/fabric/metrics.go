@@ -8,11 +8,12 @@ const (
 	// OutcomeOK: the worker returned a verified payload.
 	OutcomeOK = "ok"
 	// OutcomeError: the worker answered with an error (cell failure or
-	// rejection) or the response was unreadable.
+	// rejection), or no request could be built for its URL.
 	OutcomeError = "error"
 	// OutcomeOrphaned: the worker died mid-flight — transport broke after
-	// the request was sent, the lease expired, or the heartbeat declared the
-	// worker dead and canceled the lease. The cell is re-dispatched.
+	// the request was sent or while its reply was read, the lease expired,
+	// or the member was dropped or forgotten, which canceled the lease. The
+	// cell is re-dispatched.
 	OutcomeOrphaned = "orphaned"
 	// OutcomeVerifyFailed: the response envelope failed sha256/schema/key
 	// verification; the worker is told to re-verify (and so quarantine) its

@@ -398,7 +398,8 @@ type CellSettlement struct {
 	// them, or in an attempt that panicked or was abandoned.
 	Source string
 	// WallNS and PeakRSSKB are profiling data, never exported
-	// deterministically: how long settling took on the wall clock, and the
+	// deterministically: the cell's execution time on the wall clock, the
+	// time it held a worker slot (a store hit's load time), and the
 	// process's peak RSS when it settled (see ProfileRow).
 	WallNS    int64
 	PeakRSSKB uint64
@@ -572,16 +573,26 @@ func waitSettled(ctx context.Context, done <-chan struct{}) error {
 func (r *Runner) runCell(key CellSpec, f *flight, w warmup) {
 	defer close(f.done)
 	// Wall time and peak RSS are profiling data, kept strictly outside the
-	// deterministic exports (ExportJSON never reads them).
+	// deterministic exports (ExportJSON never reads them). The wall time is
+	// the cell's execution: the clock restarts once the cell holds a worker
+	// slot and stops before the slot is given back, so the queue before it
+	// is not counted; a store hit's is its load.
 	start := time.Now()
-	// Settlement bookkeeping: complete the cell's record, evict canceled
-	// (and, in service mode, failed) cells so a later request re-attempts
-	// them, and notify the settlement hook. One defer, not several: the
-	// record must be complete before the hook runs, and stacked defers would
-	// execute in the wrong (LIFO) order. Runs after the recover below
-	// finalizes f.err, before waiters wake.
+	var slot chan struct{} // the semaphore of the worker slot the cell holds
+	// Settlement bookkeeping: complete the cell's record, give back the
+	// worker slot, evict canceled (and, in service mode, failed) cells so a
+	// later request re-attempts them, and notify the settlement hook. One
+	// defer, not several: the record must be complete before the hook runs,
+	// and stacked defers would execute in the wrong (LIFO) order. Runs after
+	// the recover below finalizes f.err, before waiters wake.
 	defer func() {
 		f.report.WallNS = time.Since(start).Nanoseconds()
+		if slot != nil {
+			// Given back however runCell returns — including when the
+			// watchdog abandons a hung attempt, so one stuck cell cannot
+			// shrink the pool.
+			<-slot
+		}
 		f.report.PeakRSSKB = peakRSSKB()
 		r.mu.Lock()
 		evict := f.err != nil && (r.evictFailed || errors.Is(f.err, ErrCanceled))
@@ -632,13 +643,11 @@ func (r *Runner) runCell(key CellSpec, f *flight, w warmup) {
 	}
 	select {
 	case sem <- struct{}{}:
+		slot, start = sem, time.Now()
 	case <-f.ctx.Done():
 		notStarted()
 		return
 	}
-	// Released when runCell returns — including when the watchdog abandons
-	// a hung attempt, so one stuck cell cannot shrink the pool.
-	defer func() { <-sem }()
 
 	// Remote execution path: the fabric coordinator dispatches the cell
 	// instead of simulating it. The executor owns retry/hedging/failover, so

@@ -80,7 +80,9 @@ func (r *Runner) ExportTraceJSON() ([]byte, error) {
 	return metrics.MarshalTrace(cells)
 }
 
-// ProfileRow is one cell's wall-clock profile. PeakRSSKB is the process
+// ProfileRow is one cell's wall-clock profile. WallMS is the cell's
+// execution time, the time it held a worker slot, so the wait for a slot is
+// not in it; a store hit's is its load time. PeakRSSKB is the process
 // high-water mark at cell completion, so it is monotone across rows rather
 // than per-cell-exclusive. On Linux it is getrusage's ru_maxrss: it tracks
 // /proc/self/status's VmHWM within the kernel's per-thread RSS counter

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"dylect/internal/engine"
 	"dylect/internal/metrics"
@@ -200,6 +202,24 @@ func TestExportProfileJSON(t *testing.T) {
 		if row.WallMS <= 0 {
 			t.Errorf("cell %s has non-positive wall time %v", row.Cell, row.WallMS)
 		}
+	}
+}
+
+// TestSettlementWallIsExecutionTime: a settled cell's WallNS is its
+// execution time, the time it held a worker slot, not its wait for the
+// slot. At jobs 1 the cells hold the one slot in turn, so their wall times
+// sum to no more than the run's.
+func TestSettlementWallIsExecutionTime(t *testing.T) {
+	r := NewRunner(tinySharedConfig("omnetpp"))
+	var wall atomic.Int64
+	r.SetCellTelemetry(func(s CellSettlement) { wall.Add(s.WallNS) })
+	start := time.Now()
+	if _, err := RunExperiments(r, experimentsNamed(t, "fig18", "fig3"), ExecOptions{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	if sum := time.Duration(wall.Load()); sum > elapsed {
+		t.Errorf("settled cells' wall times sum to %v in a %v run at jobs 1: they count the wait for a worker slot", sum, elapsed)
 	}
 }
 

@@ -523,6 +523,10 @@ func TestSharedWarmupAbandonedRecorderHandsOn(t *testing.T) {
 	r.SetCellHook(func(key string) error {
 		if calls.Add(1) == 1 {
 			victim.Store(key)
+			// The recorder keeps the 300 ms watchdog it took; every other
+			// member starts after it settles, under a bound that its real
+			// recording cannot reach even under the race detector.
+			r.SetCellTimeout(time.Minute)
 			<-hung
 			return errors.New("abandoned attempt released")
 		}

@@ -144,7 +144,8 @@ func (t *Telemetry) observeCell(s harness.CellSettlement) {
 		return
 	case harness.SourceRemote:
 		// Dispatched over the fabric: the wall time is dispatch latency
-		// (queue + remote simulation + transfer), still worth a histogram.
+		// (remote simulation + transfer, while the cell holds its worker
+		// slot), still worth a histogram.
 		t.cells.Inc(class, "remote")
 	default:
 		// Simulated here, whether its warmup was recorded, restored or live.

@@ -24,8 +24,9 @@
 #            paths (a hedged straggler, orphan re-dispatch, a verify
 #            failure re-dispatched, a forgotten worker orphaning only its
 #            own dispatch, a config-mismatched worker staying out across
-#            heartbeats, a canceled dispatch still settling on its worker)
-#            and 16 concurrent memo-hit dispatches of one cell at
+#            heartbeats, a canceled dispatch still settling on its worker,
+#            a dispatch sent from its caller's goroutine) and 16
+#            concurrent memo-hit dispatches of one cell at
 #            -count=20, then the pre-canceled CLI drain report at
 #            -count=200, which must be byte-stable, and the served drain
 #            with the listener failed and the context canceled at once at
@@ -164,7 +165,7 @@ if want stress; then
 		'TestWatchdog|TestTransient|TestDeterministicFailureNotRetried|TestGracefulDrain|TestThreeWayCancelTimeoutRetryRace|TestViewDeadline|TestCanceledViewKeepsWorkerSlot|TestSingleFlight|TestSharedWarmup(Counts|RecordsSideBySide|ImagesAreReleased|StoreHitsReleaseClaims|RecorderPanic|CancelWhileWaiting|SecondImageFallsBackLive|RetriesKeepOneRecording|AbandonedRecorderHandsOn)|TestWaitSettled' \
 		./internal/harness
 	go test -race -count=20 -run \
-		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricForgetOrphansOnlyItsMember|TestFabricConfigMismatchEvicts|TestFabricCanceledDispatchSettles|TestFabricMemoHitBytes' \
+		'TestFabricHedgeStraggler|TestFabricOrphanRedispatch|TestFabricVerifyFailedRedispatch|TestFabricForgetOrphansOnlyItsMember|TestFabricConfigMismatchEvicts|TestFabricCanceledDispatchSettles|TestDispatchRunsOnCallersGoroutine|TestFabricMemoHitBytes' \
 		./internal/fabric
 	go test -race -count=200 -run 'TestCLIInterruptPartialExport' ./cmd/dylectsim
 	go test -race -count=200 -run 'TestServeCancelWinsOverServeError' ./cmd/dylect-served
